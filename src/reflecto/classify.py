@@ -93,15 +93,15 @@ def is_p_matrix(
     return True, None
 
 
+def _nonpositive_off_diagonal(matrix: RatMatrix) -> bool:
+    d = matrix.rows
+    return all(matrix.at(i, j) <= 0 for i in range(d) for j in range(d) if i != j)
+
+
 def is_m_matrix(matrix: RatMatrix, cap: int = DEFAULT_DIMENSION_CAP) -> bool:
     """P-matrix with nonpositive off-diagonal entries."""
-    d = _require_square(matrix)
-    for i in range(d):
-        for j in range(d):
-            if i != j and matrix.at(i, j) > 0:
-                return False
-    ok, _ = is_p_matrix(matrix, cap)
-    return ok
+    _require_square(matrix)
+    return _nonpositive_off_diagonal(matrix) and is_p_matrix(matrix, cap)[0]
 
 
 def is_positive_definite(matrix: RatMatrix) -> bool:
@@ -161,8 +161,12 @@ def has_staircase_sign_pattern(
     this shape are tight for every positive scale vector, and the pattern is
     invariant under right-multiplication by a positive diagonal matrix.
     """
-    d = _require_square(matrix)
-    for i in range(d):
+    _require_square(matrix)
+    return _staircase_signs(matrix) and is_p_matrix(matrix, cap)[0]
+
+
+def _staircase_signs(matrix: RatMatrix) -> bool:
+    for i in range(matrix.rows):
         if matrix.at(i, i) <= 0:
             return False
         if i >= 1 and matrix.at(i, i - 1) >= 0:
@@ -170,8 +174,7 @@ def has_staircase_sign_pattern(
         for j in range(0, i - 1):
             if matrix.at(i, j) != 0:
                 return False
-    ok, _ = is_p_matrix(matrix, cap)
-    return ok
+    return True
 
 
 @dataclass(frozen=True)
@@ -180,27 +183,37 @@ class ClassReport:
 
     ``failing_subset`` carries the first principal index set refuting
     completely-S membership, or, when completely-S holds but the P-property
-    fails, the first subset with a nonpositive minor.
+    fails, the first subset with a nonpositive minor.  ``has_staircase_pattern``
+    is the answer of ``has_staircase_sign_pattern``.
     """
 
     is_completely_s: bool
     is_p: bool
     is_m: bool
     is_positive_definite: bool
+    has_staircase_pattern: bool
     failing_subset: Optional[tuple[int, ...]] = None
 
 
 def classify_matrix(matrix: RatMatrix, cap: int = DEFAULT_DIMENSION_CAP) -> ClassReport:
-    """Run every class test and package the result."""
-    completely_s, cs_failure = is_completely_s(matrix, cap)
+    """Run every class test and package the result.
+
+    The principal minors are computed once.  P implies completely-S, so the
+    2^d - 1 S-LPs run only when some minor is nonpositive; the M-property and
+    the staircase pattern are the P-property plus a sign condition.
+    """
     p, p_failure = is_p_matrix(matrix, cap)
-    m = is_m_matrix(matrix, cap)
-    pd = is_positive_definite(matrix)
-    failing = cs_failure if not completely_s else (p_failure if not p else None)
+    if p:
+        completely_s, failing = True, None
+    else:
+        completely_s, failing = is_completely_s(matrix, cap)
+        if completely_s:
+            failing = p_failure
     return ClassReport(
         is_completely_s=completely_s,
         is_p=p,
-        is_m=m,
-        is_positive_definite=pd,
+        is_m=p and _nonpositive_off_diagonal(matrix),
+        is_positive_definite=is_positive_definite(matrix),
+        has_staircase_pattern=p and _staircase_signs(matrix),
         failing_subset=failing,
     )

@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .classify import DEFAULT_DIMENSION_CAP, classify_matrix, classify_two_by_two, has_staircase_sign_pattern
+from .classify import DEFAULT_DIMENSION_CAP, classify_matrix, classify_two_by_two
 from .errors import (
     InternalInconsistencyError,
     NotCompletelySError,
@@ -75,11 +75,16 @@ def _load_matrix_file(path: str) -> tuple[RatMatrix, Optional[tuple]]:
     unknown = set(data) - {"matrix", "b"}
     if unknown:
         raise ReflectoError(f"unknown fields in matrix file: {sorted(unknown)}")
-    matrix = RatMatrix([[parse_rational(str(v)) for v in row] for row in data["matrix"]])
+    rows = data["matrix"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ReflectoError("'matrix' must be a list of rows, each a list of entries")
+    matrix = RatMatrix([[parse_rational(str(v)) for v in row] for row in rows])
     if not matrix.is_square:
         raise ReflectoError("matrix must be square")
     b = None
     if "b" in data and data["b"] is not None:
+        if not isinstance(data["b"], list):
+            raise ReflectoError("'b' must be a list of entries")
         b = tuple(parse_rational(str(v)) for v in data["b"])
         if len(b) != matrix.rows:
             raise ReflectoError("b must have one entry per matrix row")
@@ -117,7 +122,7 @@ def _verdict_json(verdict: TightnessVerdict, b: Sequence[Fraction]) -> dict:
         "b": format_rational_vector(b),
         "tight": verdict.tight,
         "variable_count": verdict.variable_count,
-        "optimum": None if verdict.optimum is None else format_rational(verdict.optimum),
+        "optimum": format_rational(verdict.optimum),
         "witness": None if verdict.witness is None else assignment_to_table(verdict.witness),
     }
 
@@ -153,8 +158,42 @@ def _classification_json(matrix: RatMatrix, cap: int) -> dict:
         if report.failing_subset is None
         else list(report.failing_subset),
         "two_by_two_case": two_by_two,
-        "staircase_pattern": has_staircase_sign_pattern(matrix, cap),
+        "staircase_pattern": report.has_staircase_pattern,
     }
+
+
+def _tightness_json(matrix: RatMatrix, b: Optional[tuple], args: argparse.Namespace, cap: int) -> dict:
+    """The verdict at one b when b is given, else the layered decision."""
+    if args.samples < 0:
+        raise ReflectoError(f"--samples must be nonnegative, got {args.samples}")
+    if b is not None:
+        return _verdict_json(check_tight_system(matrix, b), b)
+    try:
+        return _decision_json(decide_tight_matrix(matrix, args.samples, args.seed, cap))
+    except NotCompletelySError as exc:
+        return {
+            "mode": "decide",
+            "status": "not_completely_s",
+            "failing_subset": list(exc.failing_subset),
+        }
+
+
+def _print_tightness(result: dict) -> None:
+    if result["mode"] == "single_b":
+        state = "tight" if result["tight"] else "not tight"
+        print(f"b = {result['b']}: {state} (optimum {result['optimum']} of {result['variable_count']})")
+    else:
+        print(f"status: {result['status']}")
+        if result.get("method"):
+            print(f"method: {result['method']}")
+        if result.get("b_witness"):
+            print(f"failing b: {result['b_witness']}")
+        if result.get("failing_subset"):
+            print(f"failing subset: {set(result['failing_subset'])}")
+    if result.get("witness"):
+        print("witness:")
+        for key, value in result["witness"].items():
+            print(f"  {key} = {value}")
 
 
 def _print_json(document: dict) -> None:
@@ -170,7 +209,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     cap = _dimension_cap()
     spec = load_spec(args.spec)
     derived = derive_matrices(spec)
-    aux_bounded = not args.unbounded_aux
 
     report: dict = {
         "command": "analyze",
@@ -202,22 +240,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         R = derived.reflection
         report["classification"] = _classification_json(R, cap)
-        if args.b is not None:
-            b = _parse_b(args.b, R.rows)
-            verdict = check_tight_system(R, b, aux_bounded)
-            report["tightness"] = _verdict_json(verdict, b)
-        else:
-            try:
-                decision = decide_tight_matrix(
-                    R, args.samples, args.seed, aux_bounded, cap
-                )
-                report["tightness"] = _decision_json(decision)
-            except NotCompletelySError as exc:
-                report["tightness"] = {
-                    "mode": "decide",
-                    "status": "not_completely_s",
-                    "failing_subset": list(exc.failing_subset),
-                }
+        b = None if args.b is None else _parse_b(args.b, R.rows)
+        report["tightness"] = _tightness_json(R, b, args, cap)
 
     if args.json:
         _print_json(report)
@@ -241,7 +265,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "classes: completely-S={completely_s} P={p_matrix} M={m_matrix} "
         "positive-definite={positive_definite}".format(**cls)
     )
-    print(f"tightness: {json.dumps(report['tightness'])}")
+    print("tightness:")
+    _print_tightness(report["tightness"])
     return 0
 
 
@@ -274,51 +299,16 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_tight(args: argparse.Namespace) -> int:
     cap = _dimension_cap()
     matrix, file_b = _load_matrix_file(args.matrix)
-    aux_bounded = not args.unbounded_aux
-    document: dict = {"command": "tight", "matrix": matrix.to_strings()}
-
-    if args.b is not None:
-        b = _parse_b(args.b, matrix.rows)
-    else:
-        b = file_b
-
-    if b is not None:
-        verdict = check_tight_system(matrix, b, aux_bounded)
-        document["result"] = _verdict_json(verdict, b)
-    else:
-        try:
-            decision = decide_tight_matrix(matrix, args.samples, args.seed, aux_bounded, cap)
-            document["result"] = _decision_json(decision)
-        except NotCompletelySError as exc:
-            document["result"] = {
-                "mode": "decide",
-                "status": "not_completely_s",
-                "failing_subset": list(exc.failing_subset),
-            }
-
+    b = file_b if args.b is None else _parse_b(args.b, matrix.rows)
+    document = {
+        "command": "tight",
+        "matrix": matrix.to_strings(),
+        "result": _tightness_json(matrix, b, args, cap),
+    }
     if args.json:
         _print_json(document)
-        return 0
-    result = document["result"]
-    if result.get("mode") == "single_b":
-        state = "tight" if result["tight"] else "not tight"
-        print(f"b = {result['b']}: {state} (optimum {result['optimum']} of {result['variable_count']})")
-        if result["witness"] is not None:
-            print("witness:")
-            for key, value in result["witness"].items():
-                print(f"  {key} = {value}")
     else:
-        print(f"status: {result['status']}")
-        if result.get("method"):
-            print(f"method: {result['method']}")
-        if result.get("b_witness"):
-            print(f"failing b: {result['b_witness']}")
-        if result.get("witness"):
-            print("witness:")
-            for key, value in result["witness"].items():
-                print(f"  {key} = {value}")
-        if result.get("failing_subset"):
-            print(f"failing subset: {set(result['failing_subset'])}")
+        _print_tightness(document["result"])
     return 0
 
 
@@ -389,7 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--b", default=None, help="comma-separated positive rationals")
     analyze.add_argument("--samples", type=int, default=20)
     analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--unbounded-aux", action="store_true")
     analyze.set_defaults(func=_cmd_analyze)
 
     classify = sub.add_parser("classify", help="matrix class membership")
@@ -402,7 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tight.add_argument("--b", default=None)
     tight.add_argument("--samples", type=int, default=20)
     tight.add_argument("--seed", type=int, default=0)
-    tight.add_argument("--unbounded-aux", action="store_true")
     tight.add_argument("--json", action="store_true")
     tight.set_defaults(func=_cmd_tight)
 

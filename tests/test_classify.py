@@ -175,10 +175,26 @@ def test_staircase_pattern_invariant_under_column_scaling():
 
 def test_class_inclusion_chain_on_random_matrices():
     rng = random.Random(32)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        M = random_matrix(rng, n)
+    matrices = [random_matrix(rng, rng.randint(1, 4)) for _ in range(60)]
+    # completely-S but not P, so the S-LP sweep has to run
+    matrices += [
+        RatMatrix([[1, 1], [1, 1]]),
+        RatMatrix([[1, 2], [2, 1]]),
+        RatMatrix([[1, 0, 0], [0, 1, 3], [0, 3, 1]]),
+    ]
+    non_p_completely_s = 0
+    for M in matrices:
         report = classify_matrix(M)
+        # each field agrees with its standalone predicate
+        completely_s, cs_failure = is_completely_s(M)
+        p, p_failure = is_p_matrix(M)
+        assert report.is_completely_s == completely_s
+        assert report.is_p == p
+        assert report.is_m == is_m_matrix(M)
+        assert report.is_positive_definite == is_positive_definite(M)
+        assert report.has_staircase_pattern == has_staircase_sign_pattern(M)
+        assert report.failing_subset == (cs_failure if not completely_s else p_failure)
+        non_p_completely_s += completely_s and not p
         if report.is_m:
             assert report.is_p
         if report.is_p:
@@ -189,6 +205,7 @@ def test_class_inclusion_chain_on_random_matrices():
         assert (report.failing_subset is not None) == (
             not report.is_completely_s or not report.is_p
         )
+    assert non_p_completely_s >= 3
 
 
 def test_class_report_for_reflection_matrix():

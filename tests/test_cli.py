@@ -123,6 +123,20 @@ def test_analyze_rejects_malformed_json(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 1
 
 
+@pytest.mark.parametrize("command", ["classify", "tight", "witness"])
+@pytest.mark.parametrize(
+    "document", [{"matrix": 5}, {"matrix": [["1"]], "b": 3}, {"matrix": ["1"]}]
+)
+def test_matrix_commands_reject_malformed_matrix_file(tmp_path, capsys, command, document):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(document))
+    witness_path = tmp_path / "witness.json"
+    witness_path.write_text(json.dumps({"x{}": "1", "x{1}": "1/2"}))
+    argv = [command, str(path)] + ([str(witness_path)] if command == "witness" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_analyze_rejects_invalid_spec(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(
@@ -241,6 +255,13 @@ def test_tight_decision_nonnegative_case(tmp_path, capsys):
     assert result["witness"]["x{1}"] == "3/4"
 
 
+@pytest.mark.parametrize("command", ["tight", "analyze"])
+def test_negative_samples_rejected(matrix_file, spec_file, capsys, command):
+    path = matrix_file if command == "tight" else spec_file
+    assert main([command, path, "--samples", "-3"]) == 1
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_tight_not_completely_s(tmp_path, capsys):
     path = tmp_path / "notcs.json"
     path.write_text(json.dumps({"matrix": [["1", "-1"], ["-1", "1"]]}))
@@ -326,3 +347,5 @@ def test_human_readable_analyze(spec_file, capsys):
     out = capsys.readouterr().out
     assert "R =" in out
     assert "heavy traffic: True" in out
+    # the tightness section uses the same renderer as `tight`
+    assert "tightness:\nstatus: not_tight\nfailing b: ['1', '1', '1']\nwitness:\n" in out

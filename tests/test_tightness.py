@@ -20,11 +20,14 @@ from reflecto import (
     canonical_variables,
     check_tight_system,
     decide_tight_matrix,
+    is_completely_s,
     nonnegative_case_witness,
     parse_variable_key,
     sample_b_vectors,
     verify_assignment,
 )
+
+from _generators import random_matrix
 
 REFLECTION = RatMatrix([[1, 0, 0], [-3, 1, 0], [3, -2, 1]])
 ONES3 = (Fraction(1), Fraction(1), Fraction(1))
@@ -234,6 +237,24 @@ def test_reflection_fixture_modes_agree():
     relaxed = check_tight_system(REFLECTION, ONES3, aux_bounded=False)
     assert bounded.tight == relaxed.tight == False
     assert bounded.optimum == relaxed.optimum == Fraction(11, 2)
+
+    # One box LP decides both modes: the verdict, optimum and witness are
+    # identical, and every witness verifies in both systems.
+    rng = random.Random(61)
+    checked = 0
+    while checked < 30:
+        d = rng.randint(1, 3)
+        R = random_matrix(rng, d)
+        if not is_completely_s(R)[0]:
+            continue
+        b = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(d)]
+        verdict = check_tight_system(R, b, aux_bounded=True)
+        assert check_tight_system(R, b, aux_bounded=False) == verdict
+        if not verdict.tight:
+            for aux_bounded in (True, False):
+                report = verify_assignment(build_system(R, b, aux_bounded), verdict.witness)
+                assert report.ok and not report.is_all_ones
+        checked += 1
 
 
 def test_reflection_fixture_is_tight_for_some_b():
