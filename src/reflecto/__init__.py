@@ -79,6 +79,7 @@ from .rational import (
     parse_rational_csv,
 )
 from .tightness import (
+    LP_DIMENSION_CAP,
     DecisionStatus,
     ProofMethod,
     SystemRow,

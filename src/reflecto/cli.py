@@ -12,7 +12,8 @@ All machine output under ``--json`` is a single JSON document on stdout; the
 output is byte-deterministic for fixed inputs and seed.
 
 The environment variable REFLECTO_DIM_CAP overrides the cap on 2^d subset
-enumerations (default 12).
+enumerations (default 12).  The tightness LP refuses d above
+``LP_DIMENSION_CAP`` (7) with exit code 1; that cap has no override.
 """
 
 from __future__ import annotations

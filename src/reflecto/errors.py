@@ -20,7 +20,11 @@ class SingularMatrixError(ReflectoError, ArithmeticError):
 
 
 class DimensionCapError(ReflectoError, ValueError):
-    """A subset enumeration over 2^d principal submatrices exceeds the cap."""
+    """Work that grows as 2^d was requested above its dimension cap.
+
+    The caps cover the subset enumerations of classification and the
+    tightness LP, whose system has 2^d + d*2^(d-1) unknowns.
+    """
 
 
 class NotCompletelySError(ReflectoError, ValueError):

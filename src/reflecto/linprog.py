@@ -1,12 +1,21 @@
 """Exact linear programming with a two-phase primal simplex over the rationals.
 
-The tableau is kept as scaled integers with one shared denominator
-(fraction-free pivoting): after every pivot each entry equals a minor of the
-original integer data, so divisions are exact and no gcd normalisation runs in
-the hot loop.  Pricing is Dantzig with least-index tie-breaks, switching to
-Bland's least-index rule after a fixed run of degenerate pivots; the leaving
-row breaks ratio ties by least basic-variable index.  This makes the solver
-deterministic (identical runs agree bit for bit) and immune to cycling.
+The tableau is kept as sparse rows of integers, each row over its own positive
+denominator.  A pivot rewrites only the rows with a nonzero entry in the pivot
+column: each is cross-multiplied with the pivot row in integers and then
+divided by the gcd of its entries and its denominator, which keeps every row
+in lowest terms.  Rows with a zero there are not touched.  Pricing is Dantzig
+with least-index tie-breaks, switching to Bland's least-index rule after a
+fixed run of degenerate pivots; the leaving row breaks ratio ties by least
+basic-variable index.  This makes the solver deterministic (identical runs
+agree bit for bit) and immune to cycling.
+
+Every pivot choice reads the rational tableau, never its integer scaling:
+pricing compares entries inside the cost row, which has one positive
+denominator; the ratio test compares rhs / entry within each row, where the
+row's denominator cancels; and the degeneracy test compares exact rationals.
+So the pivot sequence depends only on the program, not on how rows are
+stored or reduced.
 
 Variables are free unless bounds are given; bounded variables are shifted or
 mirrored onto nonnegative internal variables, free variables are split.
@@ -19,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalInconsistencyError, MatrixShapeError
@@ -112,7 +121,12 @@ def linear_program(
 
 
 class _Tableau:
-    """Simplex tableau of integers sharing one positive denominator."""
+    """Simplex tableau of sparse integer rows, each over its own denominator.
+
+    Row i stores the nonzero entries of the rational tableau row times
+    ``den[i] > 0`` as ``{column: int}``.  A pivot rewrites only the rows with
+    an entry in the pivot column and divides each rewritten row by its gcd.
+    """
 
     def __init__(
         self,
@@ -125,18 +139,6 @@ class _Tableau:
         self.nz = nz
         m = len(rows)
 
-        # Integer-scale each constraint row.
-        int_rows: list[list[int]] = []
-        int_rhs: list[int] = []
-        for coeffs, b in zip(rows, rhs):
-            denoms = [v.denominator for v in coeffs.values()] + [b.denominator]
-            mult = lcm(*denoms) if denoms else 1
-            dense = [0] * nz
-            for col, v in coeffs.items():
-                dense[col] = int(v * mult)
-            int_rows.append(dense)
-            int_rhs.append(int(b * mult))
-
         # Slack / surplus columns.
         slack_col: list[Optional[int]] = [None] * m
         ncols = nz
@@ -144,62 +146,62 @@ class _Tableau:
             if rel is not Relation.EQ:
                 slack_col[i] = ncols
                 ncols += 1
-        for i, rel in enumerate(relations):
-            row = int_rows[i]
-            row.extend([0] * (ncols - len(row)))
+        self.art_start = ncols
+
+        # Integer-scale each constraint row; the slack keeps coefficient +-1.
+        int_rows: list[tuple[dict[int, int], int]] = []
+        for coeffs, b, rel, sc in zip(rows, rhs, relations, slack_col):
+            denoms = [v.denominator for v in coeffs.values()] + [b.denominator]
+            mult = lcm(*denoms)
+            row = {col: int(v * mult) for col, v in coeffs.items()}
             if rel is Relation.LE:
-                row[slack_col[i]] = 1
+                row[sc] = 1
             elif rel is Relation.GE:
-                row[slack_col[i]] = -1
-            if int_rhs[i] < 0:
-                int_rows[i] = [-v for v in row]
-                int_rhs[i] = -int_rhs[i]
+                row[sc] = -1
+            r = int(b * mult)
+            if r < 0:
+                row = {col: -v for col, v in row.items()}
+                r = -r
+            int_rows.append((row, r))
 
         # Artificial columns where the slack cannot serve as the basic variable.
-        self.art_start = ncols
         basis: list[int] = []
         art_rows: list[int] = []
-        for i in range(m):
+        for i, (row, _) in enumerate(int_rows):
             sc = slack_col[i]
-            if sc is not None and int_rows[i][sc] == 1:
+            if sc is not None and row[sc] == 1:
                 basis.append(sc)
             else:
                 art_rows.append(i)
                 basis.append(ncols)
+                row[ncols] = 1
                 ncols += 1
-        for i, row in enumerate(int_rows):
-            row.extend([0] * (ncols - len(row)))
-        for i in art_rows:
-            int_rows[i][basis[i]] = 1
 
         self.m = m
-        self.ncols = ncols
         self.rhs_col = ncols
         self.basis = basis
-        self.den = 1
+        self.T: list[dict[int, int]] = []
+        for row, r in int_rows:
+            if r:
+                row[ncols] = r
+            self.T.append(row)
 
         # Objective scaled to integers; scale is reported back to the caller.
         cost_denoms = [v.denominator for v in cost.values()]
         self.obj_scale = lcm(*cost_denoms) if cost_denoms else 1
-        cost_row = [0] * (ncols + 1)
-        for col, v in cost.items():
-            cost_row[col] = int(v * self.obj_scale)
-
-        self.T: list[list[int]] = [row + [int_rhs[i]] for i, row in enumerate(int_rows)]
-        self.T.append(cost_row)
+        self.T.append({col: int(v * self.obj_scale) for col, v in cost.items()})
         self.cost_row = m
 
         self.phase1_row: Optional[int] = None
         if art_rows:
-            w = [0] * (ncols + 1)
+            w: dict[int, int] = {}
             for i in art_rows:
-                row = self.T[i]
-                for j in range(ncols + 1):
-                    w[j] -= row[j]
-            for i in art_rows:
-                w[self.basis[i]] += 1
-            self.T.append(w)
+                for j, v in self.T[i].items():
+                    if j != basis[i]:
+                        w[j] = w.get(j, 0) - v
+            self.T.append({j: v for j, v in w.items() if v})
             self.phase1_row = m + 1
+        self.den = [1] * len(self.T)
 
     # -- pivoting ----------------------------------------------------------
 
@@ -208,38 +210,48 @@ class _Tableau:
         den = self.den
         pivot_row = T[r]
         pivot = pivot_row[c]
-        for i in range(len(T)):
-            if i == r:
+        if pivot < 0:
+            pivot_row = {j: -v for j, v in pivot_row.items()}
+            pivot = -pivot
+        g = gcd(*pivot_row.values())
+        if g > 1:
+            pivot_row = {j: v // g for j, v in pivot_row.items()}
+            pivot //= g
+        T[r] = pivot_row
+        den[r] = pivot
+        for i, row in enumerate(T):
+            factor = row.get(c)
+            if factor is None or i == r:
                 continue
-            row = T[i]
-            factor = row[c]
-            if factor == 0:
-                if pivot != den:
-                    T[i] = [(v * pivot) // den for v in row]
-            else:
-                T[i] = [
-                    (v * pivot - factor * w) // den for v, w in zip(row, pivot_row)
-                ]
-        self.den = pivot
-        if self.den < 0:
-            self.den = -self.den
-            self.T = [[-v for v in row] for row in self.T]
+            # row/den[i] - (factor/den[i]) * pivot_row/pivot, with the common
+            # factor of pivot and factor cancelled before multiplying.
+            g = gcd(pivot, factor)
+            p, f = pivot // g, factor // g
+            new = {j: v * p for j, v in row.items()} if p != 1 else dict(row)
+            for j, w in pivot_row.items():
+                v = new.get(j, 0) - f * w
+                if v:
+                    new[j] = v
+                else:
+                    del new[j]
+            d = den[i] * p
+            g = gcd(d, *new.values())
+            if g > 1:
+                new = {j: v // g for j, v in new.items()}
+                d //= g
+            T[i] = new
+            den[i] = d
         self.basis[r] = c
 
-    def _entering(self, cost_row: list[int], bland: bool) -> Optional[int]:
-        best = None
-        best_val = 0
-        for j in range(self.ncols):
-            if j >= self.art_start:
-                continue
-            v = cost_row[j]
-            if v < 0:
-                if bland:
-                    return j
-                if v < best_val:
-                    best = j
-                    best_val = v
-        return best
+    def _entering(self, cost_row: dict[int, int], bland: bool) -> Optional[int]:
+        candidates = [
+            (v, j) for j, v in cost_row.items() if v < 0 and j < self.art_start
+        ]
+        if not candidates:
+            return None
+        if bland:
+            return min(j for _, j in candidates)
+        return min(candidates)[1]
 
     def _leaving(self, c: int) -> Optional[int]:
         best_row = None
@@ -247,10 +259,11 @@ class _Tableau:
         best_den = 1
         rc = self.rhs_col
         for i in range(self.m):
-            a = self.T[i][c]
+            row = self.T[i]
+            a = row.get(c, 0)
             if a <= 0:
                 continue
-            num = self.T[i][rc]
+            num = row.get(rc, 0)
             if best_row is None or num * best_den < best_num * a or (
                 num * best_den == best_num * a and self.basis[i] < self.basis[best_row]
             ):
@@ -264,7 +277,8 @@ class _Tableau:
         degenerate_streak = 0
         pivots = 0
         while True:
-            if stop_at_zero and self.T[cost_index][self.rhs_col] == 0:
+            value = self.T[cost_index].get(self.rhs_col, 0)
+            if stop_at_zero and value == 0:
                 return None
             bland = degenerate_streak >= _DEGENERATE_FALLBACK
             col = self._entering(self.T[cost_index], bland)
@@ -273,9 +287,9 @@ class _Tableau:
             row = self._leaving(col)
             if row is None:
                 return col
-            before = (self.T[cost_index][self.rhs_col], self.den)
+            before = (value, self.den[cost_index])
             self._pivot(row, col)
-            after = (self.T[cost_index][self.rhs_col], self.den)
+            after = (self.T[cost_index].get(self.rhs_col, 0), self.den[cost_index])
             if before[0] * after[1] == after[0] * before[1]:
                 degenerate_streak += 1
             else:
@@ -290,36 +304,30 @@ class _Tableau:
         Rows whose artificial cannot be pivoted out are identically zero on
         the real columns (redundant constraints) and are removed.
         """
-        dead_rows: list[int] = []
+        dead_rows: set[int] = set()
         for r in range(self.m):
             if self.basis[r] < self.art_start:
                 continue
             row = self.T[r]
-            col = next((j for j in range(self.art_start) if row[j] != 0), None)
+            col = min((j for j in row if j < self.art_start), default=None)
             if col is None:
-                if row[self.rhs_col] != 0:
+                if self.rhs_col in row:
                     raise InternalInconsistencyError(
                         "redundant row with nonzero residual after phase one"
                     )
-                dead_rows.append(r)
+                dead_rows.add(r)
             else:
                 self._pivot(r, col)
 
-        keep = self.art_start
-        new_T = []
-        new_basis = []
-        for i in range(self.m):
-            if i in dead_rows:
-                continue
-            new_T.append(self.T[i][:keep] + [self.T[i][self.rhs_col]])
-            new_basis.append(self.basis[i])
-        new_T.append(self.T[self.cost_row][:keep] + [self.T[self.cost_row][self.rhs_col]])
-        self.T = new_T
-        self.basis = new_basis
-        self.m = len(new_basis)
+        keep = [i for i in range(self.m) if i not in dead_rows] + [self.cost_row]
+        self.T = [
+            {j: v for j, v in self.T[i].items() if j < self.art_start or j == self.rhs_col}
+            for i in keep
+        ]
+        self.den = [self.den[i] for i in keep]
+        self.basis = [self.basis[i] for i in keep[:-1]]
+        self.m = len(self.basis)
         self.cost_row = self.m
-        self.ncols = keep
-        self.rhs_col = keep
         self.phase1_row = None
 
     # -- extraction ----------------------------------------------------------
@@ -329,7 +337,7 @@ class _Tableau:
         for i in range(self.m):
             var = self.basis[i]
             if var < self.nz:
-                z[var] = Fraction(self.T[i][self.rhs_col], self.den)
+                z[var] = Fraction(self.T[i].get(self.rhs_col, 0), self.den[i])
         return z
 
     def z_ray(self, col: int) -> list[Fraction]:
@@ -339,11 +347,14 @@ class _Tableau:
         for i in range(self.m):
             var = self.basis[i]
             if var < self.nz:
-                dz[var] = Fraction(-self.T[i][col], self.den)
+                dz[var] = Fraction(-self.T[i].get(col, 0), self.den[i])
         return dz
 
     def objective_value(self) -> Fraction:
-        return Fraction(-self.T[self.cost_row][self.rhs_col], self.den * self.obj_scale)
+        return Fraction(
+            -self.T[self.cost_row].get(self.rhs_col, 0),
+            self.den[self.cost_row] * self.obj_scale,
+        )
 
 
 # --------------------------------------------------------------------------
@@ -437,7 +448,7 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
         unbounded = tab.run_phase(tab.phase1_row, stop_at_zero=True)
         if unbounded is not None:
             raise InternalInconsistencyError("phase one cannot be unbounded")
-        if tab.T[tab.phase1_row][tab.rhs_col] != 0:
+        if tab.T[tab.phase1_row].get(tab.rhs_col, 0) != 0:
             return LpOutcome(LpStatus.INFEASIBLE)
         tab.drop_artificials()
 
@@ -474,7 +485,7 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
 
 
 def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
 
 
 def _check_point(program: LinearProgram, point: Sequence[Fraction]) -> None:

@@ -57,6 +57,7 @@ from .classify import (
     classify_two_by_two,
 )
 from .errors import (
+    DimensionCapError,
     InternalInconsistencyError,
     MatrixShapeError,
     MissingVariableError,
@@ -67,6 +68,11 @@ from .errors import (
 from .linprog import LpStatus, Relation, constraint, linear_program, lp_solve
 from .matrix import RatMatrix
 from .rational import Rational, RationalLike, as_rational, format_rational, parse_rational
+
+# Largest d for which check_tight_system runs its LP: about 90 s at d = 7 on
+# a random M-matrix; the time grows about 20x per dimension, so d = 8 would
+# take about half an hour.
+LP_DIMENSION_CAP = 7
 
 # --------------------------------------------------------------------------
 # variable indexing
@@ -410,8 +416,13 @@ def check_tight_system(
     optimises, and those pivots are most of the work (80 of 92 on a d = 5
     M-matrix at b = 1).  ``aux_bounded`` only
     selects the system the witness is re-verified against; the verdict does
-    not depend on it (see the module docstring).
+    not depend on it (see the module docstring).  Raises DimensionCapError
+    above ``LP_DIMENSION_CAP``.
     """
+    if reflection.rows > LP_DIMENSION_CAP:
+        raise DimensionCapError(
+            f"dimension {reflection.rows} exceeds the tightness-LP cap {LP_DIMENSION_CAP}"
+        )
     system = build_system(reflection, b)
     nfree = len(system.variables)
 

@@ -321,6 +321,14 @@ def test_dimension_cap_environment_override(matrix_file, monkeypatch):
     assert main(["classify", matrix_file]) == 0
 
 
+def test_tight_refuses_lp_above_dimension_cap(tmp_path, capsys):
+    rows = [["1" if i == j else "0" for j in range(8)] for i in range(8)]
+    path = tmp_path / "identity8.json"
+    path.write_text(json.dumps({"matrix": rows}))
+    assert main(["tight", str(path), "--b", ",".join(["1"] * 8)]) == 1
+    assert "tightness-LP cap 7" in capsys.readouterr().err
+
+
 def test_reentrant_validation_failure(tmp_path):
     assert (
         main(

@@ -1,10 +1,12 @@
 """Exact LP solver: frozen examples, properties, and a float cross-oracle."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import reflecto.linprog as linprog
 from reflecto import (
     LpStatus,
     Relation,
@@ -137,6 +139,82 @@ def test_degenerate_homogeneous_system():
     assert outcome.solution == (Fraction(1), Fraction(1), Fraction(1))
 
 
+@pytest.fixture
+def kernel_log(monkeypatch):
+    """Record the pivots, pricing calls and row drops of every solve."""
+    log = {"pivots": [], "bland": [], "drops": []}
+    tableau = linprog._Tableau
+    pivot, entering, drop = tableau._pivot, tableau._entering, tableau.drop_artificials
+
+    def spy_pivot(self, r, c):
+        log["pivots"].append(self.T[r][c])
+        pivot(self, r, c)
+
+    def spy_entering(self, cost_row, bland):
+        col = entering(self, cost_row, bland)
+        if bland and col is not None:
+            log["bland"].append(col)
+        return col
+
+    def spy_drop(self):
+        rows = self.m
+        drop(self)
+        log["drops"].append(rows - self.m)
+
+    monkeypatch.setattr(tableau, "_pivot", spy_pivot)
+    monkeypatch.setattr(tableau, "_entering", spy_entering)
+    monkeypatch.setattr(tableau, "drop_artificials", spy_drop)
+    return log
+
+
+def test_redundant_equality_row_is_dropped(kernel_log):
+    # After phase one the duplicate row is zero on every real column and its
+    # artificial cannot leave the basis, so the row is deleted.
+    program = linear_program(
+        [1, 2],
+        [constraint([1, 1], Relation.EQ, 2), constraint([1, 1], Relation.EQ, 2)],
+        bounds=[(0, None), (0, None)],
+    )
+    outcome = lp_solve(program)
+    assert outcome.status is LpStatus.OPTIMAL
+    assert outcome.optimum == 2
+    assert outcome.solution == (Fraction(2), Fraction(0))
+    assert kernel_log["drops"] == [1]
+
+
+def test_zero_level_artificial_leaves_on_negative_entry(kernel_log):
+    # A homogeneous equality needs no phase-one pivot; its artificial is
+    # pivoted out on the first real column, whose entry is -1.
+    program = linear_program(
+        [-1, -1],
+        [constraint([-1, 1], Relation.EQ, 0), constraint([1, 1], Relation.LE, 2)],
+        bounds=[(0, None), (0, None)],
+    )
+    outcome = lp_solve(program)
+    assert outcome.status is LpStatus.OPTIMAL
+    assert outcome.optimum == -2
+    assert outcome.solution == (Fraction(1), Fraction(1))
+    assert kernel_log["pivots"][0] == -1
+    assert kernel_log["drops"] == [0]
+
+
+def test_long_degenerate_run_switches_to_bland(kernel_log):
+    # x1 <= x2 <= ... <= x14 in the unit box: every pivot through the origin
+    # is degenerate, so pricing falls back to the least-index rule.
+    n = 14
+    rows = [
+        constraint([1 if k == i else -1 if k == i + 1 else 0 for k in range(n)], Relation.LE, 0)
+        for i in range(n - 1)
+    ]
+    program = linear_program([-1] * n, rows, bounds=[(0, 1)] * n)
+    outcome = lp_solve(program)
+    assert outcome.status is LpStatus.OPTIMAL
+    assert outcome.optimum == -n
+    assert outcome.solution == (Fraction(1),) * n
+    assert len(kernel_log["pivots"]) > linprog._DEGENERATE_FALLBACK
+    assert kernel_log["bland"]
+
+
 def _random_program(rng: random.Random):
     n = rng.randint(1, 4)
     m = rng.randint(1, 5)
@@ -229,3 +307,20 @@ def test_repeated_runs_are_bit_identical():
         first = lp_solve(program)
         second = lp_solve(program)
         assert first == second
+
+
+def _outcome_text(outcome) -> str:
+    def vector(values):
+        return "-" if values is None else ",".join(str(v) for v in values)
+
+    optimum = "-" if outcome.optimum is None else str(outcome.optimum)
+    return f"{outcome.status.value}|{optimum}|{vector(outcome.solution)}|{vector(outcome.ray)}"
+
+
+def test_random_program_outcomes_are_pinned():
+    # A different pivot sequence can end at another optimal vertex or report
+    # another ray; the digest covers every field of all 60 outcomes.
+    rng = random.Random(21)
+    lines = [_outcome_text(lp_solve(_random_program(rng))) for _ in range(60)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d7a9529f50371b208db721f6101f9af1822e0066954fb01b7dc74b5a87e51dd9"

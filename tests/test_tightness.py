@@ -1,12 +1,17 @@
 """The boundary-value system, its LP oracle, witnesses, and the decision layers."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import reflecto.tightness as tightness
 from reflecto import (
+    LP_DIMENSION_CAP,
     DecisionStatus,
+    DimensionCapError,
     NotCompletelySError,
     ProofMethod,
     RatMatrix,
@@ -257,6 +262,26 @@ def test_reflection_fixture_modes_agree():
         checked += 1
 
 
+def test_seeded_verdicts_and_witnesses_are_pinned():
+    # Optima and witness tables of completely-S matrices at d = 3 and 4, drawn
+    # as in test_reflection_fixture_modes_agree; a different pivot sequence
+    # would report a different optimal vertex, hence a different witness.
+    rng = random.Random(62)
+    records = []
+    while len(records) < 20:
+        d = 3 if len(records) < 10 else 4
+        R = random_matrix(rng, d)
+        if not is_completely_s(R)[0]:
+            continue
+        b = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(d)]
+        for rhs in ([1] * d, b):
+            verdict = check_tight_system(R, rhs)
+            table = None if verdict.tight else assignment_to_table(verdict.witness)
+            records.append([str(verdict.optimum), table])
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "0ef0c7ae09589ff318789f8ce15ce9ea3d9cd68b2c44610dcd55a20b86d016e7"
+
+
 def test_reflection_fixture_is_tight_for_some_b():
     # Non-tightness genuinely depends on b here: the balance row for D={3}
     # degenerates when 3*b1 - 2*b2 + b3 = 0 and monotonicity then pins
@@ -326,6 +351,16 @@ def test_b_absorption_is_structural():
         right = build_system(absorbed, [1] * d)
         assert left.rows == right.rows
         assert left.variables == right.variables
+
+
+def test_lp_above_dimension_cap_is_refused_before_building(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("build_system ran above the LP cap")
+
+    monkeypatch.setattr(tightness, "build_system", fail)
+    d = LP_DIMENSION_CAP + 1
+    with pytest.raises(DimensionCapError):
+        check_tight_system(RatMatrix.identity(d), [1] * d)
 
 
 def test_rejects_nonpositive_b():
