@@ -62,10 +62,7 @@ def is_s_matrix(matrix: RatMatrix) -> bool:
         constraint(matrix.row(i), Relation.GE, 1)
         for i in range(d)
     ]
-    program = linear_program(
-        [Fraction(0)] * d, rows, bounds=[(Fraction(0), None)] * d
-    )
-    outcome = lp_solve(program)
+    outcome = lp_solve(linear_program([Fraction(0)] * d, rows))
     return outcome.status is LpStatus.OPTIMAL
 
 

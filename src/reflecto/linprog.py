@@ -17,10 +17,9 @@ row's denominator cancels; and the degeneracy test compares exact rationals.
 So the pivot sequence depends only on the program, not on how rows are
 stored or reduced.
 
-Variables are free unless bounds are given; bounded variables are shifted or
-mirrored onto nonnegative internal variables, free variables are split.
-Optimal solutions are re-checked exactly against the original constraints
-before they are returned.
+Programs are in standard form: every variable is nonnegative, and any other
+bound, such as x_k <= 1, is an ordinary constraint row.  Each returned point
+is re-checked exactly against every row and against x >= 0.
 """
 
 from __future__ import annotations
@@ -53,11 +52,10 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """minimize objective . x subject to constraints and optional bounds."""
+    """minimize objective . x subject to constraints and x >= 0."""
 
     objective: tuple[Rational, ...]
     constraints: tuple[Constraint, ...]
-    bounds: Optional[tuple[tuple[Optional[Rational], Optional[Rational]], ...]] = None
 
 
 class LpStatus(Enum):
@@ -90,9 +88,7 @@ def constraint(
 
 
 def linear_program(
-    objective: Iterable[RationalLike],
-    constraints: Iterable[Constraint],
-    bounds: Optional[Sequence[tuple[Optional[RationalLike], Optional[RationalLike]]]] = None,
+    objective: Iterable[RationalLike], constraints: Iterable[Constraint]
 ) -> LinearProgram:
     obj = tuple(as_rational(c) for c in objective)
     rows = tuple(constraints)
@@ -101,18 +97,7 @@ def linear_program(
             raise MatrixShapeError(
                 f"constraint has {len(c.coeffs)} coefficients for {len(obj)} variables"
             )
-    packed = None
-    if bounds is not None:
-        packed = tuple(
-            (
-                None if lo is None else as_rational(lo),
-                None if hi is None else as_rational(hi),
-            )
-            for lo, hi in bounds
-        )
-        if len(packed) != len(obj):
-            raise MatrixShapeError("bounds length must match variable count")
-    return LinearProgram(obj, rows, packed)
+    return LinearProgram(obj, rows)
 
 
 # --------------------------------------------------------------------------
@@ -363,57 +348,21 @@ class _Tableau:
 
 
 def lp_solve(program: LinearProgram) -> LpOutcome:
-    """Solve an exact LP; statuses Infeasible/Unbounded are outcomes, not errors."""
+    """Minimise objective . x over the rows and x >= 0, exactly.
+
+    Statuses Infeasible/Unbounded are outcomes, not errors.
+    """
     n = len(program.objective)
-    bounds = program.bounds if program.bounds is not None else ((None, None),) * n
-    if len(bounds) != n:
-        raise MatrixShapeError("bounds length must match variable count")
     for row in program.constraints:
         if len(row.coeffs) != n:
             raise MatrixShapeError("constraint width must match variable count")
 
-    # Substitute every variable by nonnegative internal variables.
-    modes: list[tuple] = []
-    nz = 0
-    caps: list[tuple[int, Fraction]] = []
-    for lo, hi in bounds:
-        if lo is not None and hi is not None and hi < lo:
-            return LpOutcome(LpStatus.INFEASIBLE)
-        if lo is not None:
-            modes.append(("shift", nz, lo))
-            if hi is not None:
-                caps.append((nz, hi - lo))
-            nz += 1
-        elif hi is not None:
-            modes.append(("mirror", nz, hi))
-            nz += 1
-        else:
-            modes.append(("split", nz, nz + 1))
-            nz += 2
-
-    def to_z(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[dict[int, Fraction], Fraction]:
-        cols: dict[int, Fraction] = {}
-        r = rhs
-        for j, a in enumerate(coeffs):
-            if a == 0:
-                continue
-            mode = modes[j]
-            if mode[0] == "shift":
-                cols[mode[1]] = cols.get(mode[1], Fraction(0)) + a
-                r -= a * mode[2]
-            elif mode[0] == "mirror":
-                cols[mode[1]] = cols.get(mode[1], Fraction(0)) - a
-                r -= a * mode[2]
-            else:
-                cols[mode[1]] = cols.get(mode[1], Fraction(0)) + a
-                cols[mode[2]] = cols.get(mode[2], Fraction(0)) - a
-        return {c: v for c, v in cols.items() if v != 0}, r
-
-    z_rows: list[dict[int, Fraction]] = []
-    z_rels: list[Relation] = []
-    z_rhs: list[Fraction] = []
+    rows: list[dict[int, Fraction]] = []
+    relations: list[Relation] = []
+    rhs: list[Fraction] = []
     for row in program.constraints:
-        cols, r = to_z(row.coeffs, row.rhs)
+        cols = {j: a for j, a in enumerate(row.coeffs) if a}
+        r = row.rhs
         if not cols:
             violated = (
                 (row.relation is Relation.LE and not 0 <= r)
@@ -423,26 +372,19 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
             if violated:
                 return LpOutcome(LpStatus.INFEASIBLE)
             continue
-        if row.relation is Relation.GE:
-            # a.z >= r becomes -a.z <= -r; homogeneous rows then start with a
+        relation = row.relation
+        if relation is Relation.GE:
+            # a.x >= r becomes -a.x <= -r; homogeneous rows then start with a
             # feasible slack basis instead of an artificial variable.
             cols = {c: -v for c, v in cols.items()}
             r = -r
-            z_rows.append(cols)
-            z_rels.append(Relation.LE)
-        else:
-            z_rows.append(cols)
-            z_rels.append(row.relation)
-        z_rhs.append(r)
-    for col, cap in caps:
-        z_rows.append({col: Fraction(1)})
-        z_rels.append(Relation.LE)
-        z_rhs.append(cap)
+            relation = Relation.LE
+        rows.append(cols)
+        relations.append(relation)
+        rhs.append(r)
 
-    obj_cols, neg_offset = to_z(program.objective, Fraction(0))
-    obj_offset = -neg_offset
-
-    tab = _Tableau(nz, z_rows, z_rels, z_rhs, obj_cols)
+    obj_cols = {j: c for j, c in enumerate(program.objective) if c}
+    tab = _Tableau(n, rows, relations, rhs, obj_cols)
 
     if tab.phase1_row is not None:
         unbounded = tab.run_phase(tab.phase1_row, stop_at_zero=True)
@@ -454,30 +396,17 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
 
     unbounded_col = tab.run_phase(tab.cost_row, stop_at_zero=False)
 
-    def map_point(z: Sequence[Fraction], include_offset: bool) -> tuple[Fraction, ...]:
-        out = []
-        for mode in modes:
-            if mode[0] == "shift":
-                base = mode[2] if include_offset else Fraction(0)
-                out.append(base + z[mode[1]])
-            elif mode[0] == "mirror":
-                base = mode[2] if include_offset else Fraction(0)
-                out.append(base - z[mode[1]])
-            else:
-                out.append(z[mode[1]] - z[mode[2]])
-        return tuple(out)
-
     if unbounded_col is not None:
-        point = map_point(tab.z_solution(), include_offset=True)
-        ray = map_point(tab.z_ray(unbounded_col), include_offset=False)
+        point = tuple(tab.z_solution())
+        ray = tuple(tab.z_ray(unbounded_col))
         _check_point(program, point)
         _check_point(program, tuple(p + r for p, r in zip(point, ray)))
         if _dot(program.objective, ray) >= 0:
             raise InternalInconsistencyError("unbounded ray does not improve the objective")
         return LpOutcome(LpStatus.UNBOUNDED, solution=point, ray=ray)
 
-    solution = map_point(tab.z_solution(), include_offset=True)
-    optimum = obj_offset + tab.objective_value()
+    solution = tuple(tab.z_solution())
+    optimum = tab.objective_value()
     _check_point(program, solution)
     if _dot(program.objective, solution) != optimum:
         raise InternalInconsistencyError("objective value mismatch at reported optimum")
@@ -501,9 +430,5 @@ def _check_point(program: LinearProgram, point: Sequence[Fraction]) -> None:
             raise InternalInconsistencyError(
                 f"reported point violates constraint {row.coeffs} {row.relation.value} {row.rhs}"
             )
-    if program.bounds is not None:
-        for x, (lo, hi) in zip(point, program.bounds):
-            if lo is not None and x < lo:
-                raise InternalInconsistencyError("reported point violates a lower bound")
-            if hi is not None and x > hi:
-                raise InternalInconsistencyError("reported point violates an upper bound")
+    if any(x < 0 for x in point):
+        raise InternalInconsistencyError("reported point has a negative coordinate")

@@ -516,6 +516,28 @@ def spec_to_json_dict(spec: NetworkSpec) -> dict:
     }
 
 
+def _json_int(field: str, value) -> int:
+    # bool is an int subclass, and int() would truncate 1.9 or read "2".
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecValidationError(((field, f"expected an integer, got {value!r}"),))
+    return value
+
+
+def _json_list(field: str, value) -> list:
+    # A string would be iterated character by character.
+    if not isinstance(value, list):
+        raise SpecValidationError(((field, f"expected a list, got {value!r}"),))
+    return value
+
+
+def _json_ints(field: str, value) -> tuple[int, ...]:
+    return tuple(_json_int(field, v) for v in _json_list(field, value))
+
+
+def _json_rationals(field: str, value) -> tuple[Rational, ...]:
+    return tuple(parse_rational(str(v)) for v in _json_list(field, value))
+
+
 def spec_from_json_dict(data: dict) -> NetworkSpec:
     """Parse the documented JSON document; unknown fields are rejected."""
     if not isinstance(data, dict):
@@ -532,16 +554,18 @@ def spec_from_json_dict(data: dict) -> NetworkSpec:
         )
     try:
         spec = NetworkSpec(
-            class_count=int(data["classes"]),
-            station_count=int(data["stations"]),
-            station_of_class=tuple(int(v) for v in data["station_of_class"]),
+            class_count=_json_int("classes", data["classes"]),
+            station_count=_json_int("stations", data["stations"]),
+            station_of_class=_json_ints("station_of_class", data["station_of_class"]),
             routing=RatMatrix(
-                [[parse_rational(str(v)) for v in row] for row in data["routing"]]
+                [_json_rationals("routing", row) for row in _json_list("routing", data["routing"])]
             ),
-            service_means=tuple(parse_rational(str(v)) for v in data["service_means"]),
-            arrival_rates=tuple(parse_rational(str(v)) for v in data["arrival_rates"]),
-            priority=tuple(int(v) for v in data["priority"]),
+            service_means=_json_rationals("service_means", data["service_means"]),
+            arrival_rates=_json_rationals("arrival_rates", data["arrival_rates"]),
+            priority=_json_ints("priority", data["priority"]),
         )
+    except SpecValidationError:
+        raise
     except (TypeError, ValueError) as exc:
         raise SpecValidationError((("document", str(exc)),)) from exc
     require_valid(spec)

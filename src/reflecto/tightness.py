@@ -29,15 +29,15 @@ only then falls back to the LP oracle on sampled b vectors, reporting an
 honest "unknown, all samples tight" when nothing refutes tightness.
 
 The range of the boundary unknowns is ambiguous in the underlying definition;
-``aux_bounded=True`` (default) constrains them to [0,1], which matches their
-origin as limits of moment generating functions of probability measures at
-nonpositive arguments, while ``aux_bounded=False`` keeps only the implied
-upper bound.  The choice cannot change the verdict: after y = 1 - x every row
-is homogeneous, so the feasible y form a polyhedral cone, and (R, b) is tight
-exactly when that cone is {0}.  A box on y only rescales a nonzero point of
-the cone, so one LP over the [0,1] box decides both modes, and its witness
-satisfies both systems.  The mode only changes what ``verify_assignment``
-accepts.
+``build_system(aux_bounded=True)`` (default) constrains them to [0,1], which
+matches their origin as limits of moment generating functions of probability
+measures at nonpositive arguments, while ``aux_bounded=False`` keeps only the
+implied upper bound.  The choice cannot change the verdict: after y = 1 - x
+every row is homogeneous, so the feasible y form a polyhedral cone, and
+(R, b) is tight exactly when that cone is {0}.  A box on y only rescales a
+nonzero point of the cone, so ``check_tight_system`` takes no mode: its one
+LP over the [0,1] box decides both, and its witness satisfies both systems.
+The mode only changes what ``verify_assignment`` accepts.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .errors import (
     RationalParseError,
     ReflectoError,
 )
-from .linprog import LpStatus, Relation, constraint, linear_program, lp_solve
+from .linprog import Constraint, LpStatus, Relation, constraint, linear_program, lp_solve
 from .matrix import RatMatrix
 from .rational import Rational, RationalLike, as_rational, format_rational, parse_rational
 
@@ -403,21 +403,18 @@ class TightnessVerdict:
 
 
 def check_tight_system(
-    reflection: RatMatrix,
-    b: Sequence[RationalLike],
-    aux_bounded: bool = True,
+    reflection: RatMatrix, b: Sequence[RationalLike]
 ) -> TightnessVerdict:
     """Decide whether (R, b) admits only the all-ones solution.
 
-    One LP runs on the substitution y = 1 - x with every y in [0,1],
-    maximising sum(y) over the rows of the bounded system.  Every row is
-    homogeneous in y, so y = 0 is feasible; the solver still enters each
-    balance equality with an artificial variable and pivots it out before it
-    optimises, and those pivots are most of the work (80 of 92 on a d = 5
-    M-matrix at b = 1).  ``aux_bounded`` only
-    selects the system the witness is re-verified against; the verdict does
-    not depend on it (see the module docstring).  Raises DimensionCapError
-    above ``LP_DIMENSION_CAP``.
+    One LP runs on the substitution y = 1 - x with y >= 0 and one row
+    y_k <= 1 per unknown, maximising sum(y) over the rows of the bounded
+    system.  Every row is homogeneous in y, so y = 0 is feasible; the solver
+    still enters each balance equality with an artificial variable and pivots
+    it out before it optimises, and those pivots are most of the work (80 of
+    92 on a d = 5 M-matrix at b = 1).  The witness is re-verified against the
+    bounded system; it satisfies the ``aux_bounded=False`` system too (see the
+    module docstring).  Raises DimensionCapError above ``LP_DIMENSION_CAP``.
     """
     if reflection.rows > LP_DIMENSION_CAP:
         raise DimensionCapError(
@@ -429,13 +426,19 @@ def check_tight_system(
     rows = []
     for row in system.rows:
         coeffs = [Fraction(0)] * nfree
-        shift = Fraction(0)
+        coeff_sum = Fraction(0)
         for var, c in row.terms:
             coeffs[system.column(var)] = -c
-            shift += c
-        rows.append(constraint(coeffs, row.relation, row.rhs - shift))
+            coeff_sum += c
+        rows.append(constraint(coeffs, row.relation, row.rhs - coeff_sum))
+    # y_k <= 1, built directly: constraint() would coerce nfree^2 zeros.
+    zero, one = (Fraction(0),) * nfree, Fraction(1)
+    rows.extend(
+        Constraint(zero[:k] + (one,) + zero[k + 1:], Relation.LE, one)
+        for k in range(nfree)
+    )
     objective = [Fraction(-1)] * nfree  # minimise -sum(y) = maximise sum(y)
-    outcome = lp_solve(linear_program(objective, rows, [(0, 1)] * nfree))
+    outcome = lp_solve(linear_program(objective, rows))
     if outcome.status is not LpStatus.OPTIMAL:
         raise InternalInconsistencyError(
             f"the box LP is feasible at y = 0 and bounded; the solver reported {outcome.status.value}"
@@ -449,8 +452,6 @@ def check_tight_system(
     }
     for var, y in zip(system.variables, outcome.solution):
         witness[var] = Fraction(1) - y
-    if not aux_bounded:
-        system = build_system(reflection, b, aux_bounded=False)
     report = verify_assignment(system, witness)
     if not report.ok or report.is_all_ones:
         raise InternalInconsistencyError("extracted witness failed verification")

@@ -16,22 +16,28 @@ from reflecto import (
 )
 
 
+def _cap(n, k, hi):
+    """The row x_k <= hi over n variables."""
+    return constraint([1 if j == k else 0 for j in range(n)], Relation.LE, hi)
+
+
 def test_pinned_single_variable():
-    program = linear_program(
-        [1],
-        [constraint([1], Relation.GE, 1), constraint([1], Relation.LE, 1)],
-    )
-    outcome = lp_solve(program)
-    assert outcome.status is LpStatus.OPTIMAL
-    assert outcome.optimum == 1
-    assert outcome.solution == (Fraction(1),)
+    # min x: pinned by two rows at 1, and by the implicit x >= 0 at 0 when the
+    # only row allows negative x.
+    for rows, value in (
+        ([constraint([1], Relation.GE, 1), constraint([1], Relation.LE, 1)], 1),
+        ([constraint([1], Relation.GE, -5)], 0),
+    ):
+        outcome = lp_solve(linear_program([1], rows))
+        assert outcome.status is LpStatus.OPTIMAL
+        assert outcome.optimum == value
+        assert outcome.solution == (Fraction(value),)
 
 
 def test_two_variable_minimum():
     program = linear_program(
         [1, 1],
         [constraint([1, 1], Relation.GE, 3)],
-        bounds=[(0, None), (0, None)],
     )
     outcome = lp_solve(program)
     assert outcome.status is LpStatus.OPTIMAL
@@ -39,7 +45,7 @@ def test_two_variable_minimum():
 
 
 def test_unbounded_with_usable_ray():
-    program = linear_program([-1], [], bounds=[(0, None)])
+    program = linear_program([-1], [])
     outcome = lp_solve(program)
     assert outcome.status is LpStatus.UNBOUNDED
     point, ray = outcome.solution, outcome.ray
@@ -52,7 +58,6 @@ def test_unbounded_through_constraints():
     program = linear_program(
         [-1, -1],
         [constraint([1, -1], Relation.EQ, 0)],
-        bounds=[(0, None), (0, None)],
     )
     outcome = lp_solve(program)
     assert outcome.status is LpStatus.UNBOUNDED
@@ -69,17 +74,11 @@ def test_infeasible():
     assert lp_solve(program).status is LpStatus.INFEASIBLE
 
 
-def test_infeasible_bounds():
-    program = linear_program([1], [], bounds=[(2, 1)])
-    assert lp_solve(program).status is LpStatus.INFEASIBLE
-
-
 def test_equality_with_fractions():
     # min x + y subject to 2x + 3y = 1, x, y >= 0 -> y = 1/3
     program = linear_program(
         [1, 1],
         [constraint([2, 3], Relation.EQ, 1)],
-        bounds=[(0, None), (0, None)],
     )
     outcome = lp_solve(program)
     assert outcome.status is LpStatus.OPTIMAL
@@ -87,33 +86,10 @@ def test_equality_with_fractions():
     assert outcome.solution == (Fraction(0), Fraction(1, 3))
 
 
-def test_free_variable_equality():
-    # min x subject to x + y = 2, y <= 1, both free: x = 2 - y >= 1
-    program = linear_program(
-        [1, 0],
-        [constraint([1, 1], Relation.EQ, 2), constraint([0, 1], Relation.LE, 1)],
-        bounds=[(None, None), (None, None)],
-    )
-    outcome = lp_solve(program)
-    assert outcome.status is LpStatus.OPTIMAL
-    assert outcome.optimum == 1
-    assert outcome.solution == (Fraction(1), Fraction(1))
-
-
-def test_mirrored_upper_bound_only():
-    # min -x with x <= 5 and no lower bound
-    program = linear_program([-1], [], bounds=[(None, 5)])
-    outcome = lp_solve(program)
-    assert outcome.status is LpStatus.OPTIMAL
-    assert outcome.optimum == -5
-    assert outcome.solution == (Fraction(5),)
-
-
 def test_two_sided_bounds():
     program = linear_program(
         [-1, -2],
-        [constraint([1, 1], Relation.LE, Fraction(3, 2))],
-        bounds=[(0, 1), (0, 1)],
+        [constraint([1, 1], Relation.LE, Fraction(3, 2)), _cap(2, 0, 1), _cap(2, 1, 1)],
     )
     outcome = lp_solve(program)
     assert outcome.status is LpStatus.OPTIMAL
@@ -130,8 +106,8 @@ def test_degenerate_homogeneous_system():
             constraint([0, 1, -1], Relation.GE, 0),
             constraint([-1, 0, 1], Relation.GE, 0),
             constraint([1, 1, 1], Relation.LE, 3),
-        ],
-        bounds=[(0, 1), (0, 1), (0, 1)],
+        ]
+        + [_cap(3, k, 1) for k in range(3)],
     )
     outcome = lp_solve(program)
     assert outcome.status is LpStatus.OPTIMAL
@@ -173,7 +149,6 @@ def test_redundant_equality_row_is_dropped(kernel_log):
     program = linear_program(
         [1, 2],
         [constraint([1, 1], Relation.EQ, 2), constraint([1, 1], Relation.EQ, 2)],
-        bounds=[(0, None), (0, None)],
     )
     outcome = lp_solve(program)
     assert outcome.status is LpStatus.OPTIMAL
@@ -188,7 +163,6 @@ def test_zero_level_artificial_leaves_on_negative_entry(kernel_log):
     program = linear_program(
         [-1, -1],
         [constraint([-1, 1], Relation.EQ, 0), constraint([1, 1], Relation.LE, 2)],
-        bounds=[(0, None), (0, None)],
     )
     outcome = lp_solve(program)
     assert outcome.status is LpStatus.OPTIMAL
@@ -206,7 +180,7 @@ def test_long_degenerate_run_switches_to_bland(kernel_log):
         constraint([1 if k == i else -1 if k == i + 1 else 0 for k in range(n)], Relation.LE, 0)
         for i in range(n - 1)
     ]
-    program = linear_program([-1] * n, rows, bounds=[(0, 1)] * n)
+    program = linear_program([-1] * n, rows + [_cap(n, k, 1) for k in range(n)])
     outcome = lp_solve(program)
     assert outcome.status is LpStatus.OPTIMAL
     assert outcome.optimum == -n
@@ -224,16 +198,10 @@ def _random_program(rng: random.Random):
         relation = rng.choice([Relation.LE, Relation.GE, Relation.EQ])
         rows.append(constraint(coeffs, relation, Fraction(rng.randint(-6, 6))))
     objective = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-    bounds = []
-    for _ in range(n):
-        kind = rng.random()
-        if kind < 0.7:
-            bounds.append((Fraction(0), None))
-        elif kind < 0.85:
-            bounds.append((Fraction(0), Fraction(rng.randint(1, 5))))
-        else:
-            bounds.append((None, None))
-    return linear_program(objective, rows, bounds)
+    for k in range(n):
+        if 0.7 <= rng.random() < 0.85:
+            rows.append(_cap(n, k, rng.randint(1, 5)))
+    return linear_program(objective, rows)
 
 
 def test_against_float_solver():
@@ -257,20 +225,13 @@ def test_against_float_solver():
             else:
                 A_eq.append(coeffs)
                 b_eq.append(float(row.rhs))
-        bounds = [
-            (
-                None if lo is None else float(lo),
-                None if hi is None else float(hi),
-            )
-            for lo, hi in program.bounds
-        ]
         reference = scipy_optimize.linprog(
             [float(c) for c in program.objective],
             A_ub=A_ub or None,
             b_ub=b_ub or None,
             A_eq=A_eq or None,
             b_eq=b_eq or None,
-            bounds=bounds,
+            bounds=(0, None),
             method="highs",
         )
         if reference.status == 0:
@@ -293,7 +254,7 @@ def test_row_permutation_preserves_optimum():
         outcome = lp_solve(program)
         shuffled = list(program.constraints)
         rng.shuffle(shuffled)
-        permuted = linear_program(program.objective, shuffled, program.bounds)
+        permuted = linear_program(program.objective, shuffled)
         other = lp_solve(permuted)
         assert outcome.status is other.status
         if outcome.status is LpStatus.OPTIMAL:
@@ -323,4 +284,4 @@ def test_random_program_outcomes_are_pinned():
     rng = random.Random(21)
     lines = [_outcome_text(lp_solve(_random_program(rng))) for _ in range(60)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "d7a9529f50371b208db721f6101f9af1822e0066954fb01b7dc74b5a87e51dd9"
+    assert digest == "b9efd4a50777c36a110d1c08a63470cbfc917dd6390752d1d3fd0ffe3cae2958"

@@ -406,3 +406,17 @@ def test_spec_json_rejects_float_entries(fbfs_spec):
     document["service_means"] = ["2.0"] + document["service_means"][1:]
     with pytest.raises(SpecValidationError):
         spec_from_json_dict(document)
+
+    # Integer fields must be JSON integers and rows must be lists; read with
+    # int() or iterated as strings, each document would parse to the fixture.
+    base = spec_to_json_dict(fbfs_spec)
+    for field, value in (
+        ("station_of_class", [1.9] + base["station_of_class"][1:]),
+        ("classes", 7.7),
+        ("priority", [1, 2.5] + base["priority"][2:]),
+        ("priority", [True] + base["priority"][1:]),
+        ("stations", "3"),
+        ("routing", ["".join(row) for row in base["routing"]]),
+    ):
+        with pytest.raises(SpecValidationError):
+            spec_from_json_dict(dict(base, **{field: value}))

@@ -238,13 +238,15 @@ def test_reflection_fixture_is_not_tight_for_unit_b():
 
 
 def test_reflection_fixture_modes_agree():
-    bounded = check_tight_system(REFLECTION, ONES3, aux_bounded=True)
-    relaxed = check_tight_system(REFLECTION, ONES3, aux_bounded=False)
-    assert bounded.tight == relaxed.tight == False
-    assert bounded.optimum == relaxed.optimum == Fraction(11, 2)
+    # One box LP decides both modes: every witness it returns verifies in the
+    # bounded and in the relaxed system.
+    verdict = check_tight_system(REFLECTION, ONES3)
+    assert not verdict.tight
+    assert verdict.optimum == Fraction(11, 2)
+    for aux_bounded in (True, False):
+        report = verify_assignment(build_system(REFLECTION, ONES3, aux_bounded), verdict.witness)
+        assert report.ok and not report.is_all_ones
 
-    # One box LP decides both modes: the verdict, optimum and witness are
-    # identical, and every witness verifies in both systems.
     rng = random.Random(61)
     checked = 0
     while checked < 30:
@@ -253,8 +255,7 @@ def test_reflection_fixture_modes_agree():
         if not is_completely_s(R)[0]:
             continue
         b = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(d)]
-        verdict = check_tight_system(R, b, aux_bounded=True)
-        assert check_tight_system(R, b, aux_bounded=False) == verdict
+        verdict = check_tight_system(R, b)
         if not verdict.tight:
             for aux_bounded in (True, False):
                 report = verify_assignment(build_system(R, b, aux_bounded), verdict.witness)
