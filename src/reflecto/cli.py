@@ -314,7 +314,10 @@ def _cmd_tight(args: argparse.Namespace) -> int:
 
 
 def _cmd_reentrant(args: argparse.Namespace) -> int:
-    route = [int(v) for v in args.route.split(",") if v.strip() != ""]
+    try:
+        route = [int(v) for v in args.route.split(",") if v.strip() != ""]
+    except ValueError:
+        raise ReflectoError(f"route must list integer stations, got {args.route!r}") from None
     means = parse_rational_csv(args.means)
     arrival = parse_rational(args.arrival)
     spec = reentrant_spec(route, means, arrival, args.discipline)

@@ -123,7 +123,7 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
             # transience: (I - P') must be invertible with a nonnegative
             # inverse, certifying W = sum of (P')^n
             try:
-                W = _visits_matrix(spec)
+                W = build_W(spec)
             except SingularMatrixError:
                 issues.append(("routing", "I - P is singular (customers never leave)"))
             else:
@@ -207,15 +207,9 @@ def relabel_stations(spec: NetworkSpec) -> tuple[NetworkSpec, tuple[int, ...]]:
 # --------------------------------------------------------------------------
 
 
-def _visits_matrix(spec: NetworkSpec) -> RatMatrix:
-    K = spec.class_count
-    identity = RatMatrix.identity(K)
-    return (identity - spec.routing.transpose()).inverse()
-
-
 def build_W(spec: NetworkSpec) -> RatMatrix:
     """W = (I - P')^{-1}; nonnegative with a positive diagonal for valid specs."""
-    return _visits_matrix(spec)
+    return (RatMatrix.identity(spec.class_count) - spec.routing.transpose()).inverse()
 
 
 def build_B(spec: NetworkSpec) -> RatMatrix:
@@ -244,18 +238,19 @@ def build_F(spec: NetworkSpec) -> RatMatrix:
     return RatMatrix(rows)
 
 
-def build_A(spec: NetworkSpec) -> RatMatrix:
-    """A = (I - P') M^{-1} (I - B)."""
-    K = spec.class_count
-    identity = RatMatrix.identity(K)
+def build_A(spec: NetworkSpec, *, B: Optional[RatMatrix] = None) -> RatMatrix:
+    """A = (I - P') M^{-1} (I - B); pass ``B=build_B(spec)`` to reuse it."""
+    identity = RatMatrix.identity(spec.class_count)
     inverse_means = RatMatrix.diagonal([Fraction(1) / m for m in spec.service_means])
-    return (identity - spec.routing.transpose()) @ inverse_means @ (identity - build_B(spec))
+    B = build_B(spec) if B is None else B
+    return (identity - spec.routing.transpose()) @ inverse_means @ (identity - B)
 
 
-def build_A_inverse(spec: NetworkSpec) -> RatMatrix:
-    """Closed form A^{-1} = F M W, assembled entrywise without inverting A."""
+def build_A_inverse(spec: NetworkSpec, *, W: Optional[RatMatrix] = None) -> RatMatrix:
+    """Closed form A^{-1} = F M W, assembled entrywise without inverting A;
+    pass ``W=build_W(spec)`` to reuse it."""
     K = spec.class_count
-    W = build_W(spec)
+    W = build_W(spec) if W is None else W
     sets = priority_sets(spec)
     means = spec.service_means
     rows = []
@@ -273,10 +268,11 @@ def build_A_inverse(spec: NetworkSpec) -> RatMatrix:
     return RatMatrix(rows)
 
 
-def build_Q(spec: NetworkSpec) -> RatMatrix:
+def build_Q(spec: NetworkSpec, *, W: Optional[RatMatrix] = None) -> RatMatrix:
     """Station workload matrix Q[i][j] = sum over classes k at station i of
-    m_k * W[k][lowest(j)], using the spec's own station numbering."""
-    W = build_W(spec)
+    m_k * W[k][lowest(j)], using the spec's own station numbering; pass
+    ``W=build_W(spec)`` to reuse it."""
+    W = build_W(spec) if W is None else W
     sets = priority_sets(spec)
     d = spec.station_count
     means = spec.service_means
@@ -295,29 +291,30 @@ def build_Q(spec: NetworkSpec) -> RatMatrix:
     return RatMatrix(rows)
 
 
-def reflection_matrix(spec: NetworkSpec) -> RatMatrix:
-    """R = Q^{-1}, cross-checked against the block-elimination route.
+def reflection_matrix(
+    spec: NetworkSpec, *, Q: Optional[RatMatrix] = None, A: Optional[RatMatrix] = None
+) -> RatMatrix:
+    """R = Q^{-1}, cross-checked against the block-elimination route; pass
+    ``Q=build_Q(spec)`` and ``A=build_A(spec)`` to reuse them.
 
     Raises QSingularError when Q (equivalently the high-priority block of A)
     is singular, in which case no reflection matrix exists.
     """
-    Q = build_Q(spec)
+    Q = build_Q(spec) if Q is None else Q
+    A = build_A(spec) if A is None else A
     sets = priority_sets(spec)
-    A = build_A(spec)
     low = sorted(sets.low_classes)
     high = sorted(sets.high_classes)
+    A_H = A.principal_submatrix(high) if high else None
 
-    if Q.det() == 0:
-        if high:
-            A_H = A.principal_submatrix(high)
-            if A_H.det() != 0:
-                raise InternalInconsistencyError(
-                    "workload matrix singular but the high-priority block is not"
-                )
-        else:
-            raise InternalInconsistencyError(
-                "workload matrix singular with no high-priority classes"
-            )
+    # Q is singular exactly when A_H is; with no high-priority classes, Q is
+    # A^{-1} up to a permutation and never singular.
+    q_singular = Q.det() == 0
+    if q_singular != (A_H is not None and A_H.det() == 0):
+        raise InternalInconsistencyError(
+            "workload matrix and high-priority block of A disagree on singularity"
+        )
+    if q_singular:
         raise QSingularError(
             "the station workload matrix is singular; no reflection matrix exists"
         )
@@ -325,12 +322,7 @@ def reflection_matrix(spec: NetworkSpec) -> RatMatrix:
     R = Q.inverse()
 
     # Independent route: eliminate the high-priority block of A and compare.
-    if high:
-        A_H = A.principal_submatrix(high)
-        if A_H.det() == 0:
-            raise InternalInconsistencyError(
-                "workload matrix invertible but the high-priority block is singular"
-            )
+    if A_H is not None:
         A_L = A.principal_submatrix(low)
         A_LH = RatMatrix([[A.at(i - 1, j - 1) for j in high] for i in low])
         A_HL = RatMatrix([[A.at(i - 1, j - 1) for j in low] for i in high])
@@ -362,9 +354,10 @@ class TrafficReport:
     heavy_traffic: bool
 
 
-def traffic(spec: NetworkSpec) -> TrafficReport:
-    """Effective arrival rates alpha = W lambda and station utilizations."""
-    W = build_W(spec)
+def traffic(spec: NetworkSpec, *, W: Optional[RatMatrix] = None) -> TrafficReport:
+    """Effective arrival rates alpha = W lambda and station utilizations;
+    pass ``W=build_W(spec)`` to reuse it."""
+    W = build_W(spec) if W is None else W
     alpha = W.apply(spec.arrival_rates)
     rho = []
     for i in range(1, spec.station_count + 1):
@@ -404,15 +397,13 @@ def derive_matrices(spec: NetworkSpec) -> DerivedMatrices:
     relabeled, permutation = relabel_stations(spec)
     W = build_W(relabeled)
     B = build_B(relabeled)
-    F = build_F(relabeled)
-    A = build_A(relabeled)
-    A_inverse = build_A_inverse(relabeled)
-    K = spec.class_count
-    if A @ A_inverse != RatMatrix.identity(K):
+    A = build_A(relabeled, B=B)
+    A_inverse = build_A_inverse(relabeled, W=W)
+    if A @ A_inverse != RatMatrix.identity(spec.class_count):
         raise InternalInconsistencyError("closed-form inverse of A failed its check")
-    Q = build_Q(relabeled)
+    Q = build_Q(relabeled, W=W)
     try:
-        reflection = reflection_matrix(relabeled)
+        reflection = reflection_matrix(relabeled, Q=Q, A=A)
     except QSingularError:
         reflection = None
     return DerivedMatrices(
@@ -420,12 +411,12 @@ def derive_matrices(spec: NetworkSpec) -> DerivedMatrices:
         relabel=permutation,
         W=W,
         B=B,
-        F=F,
+        F=build_F(relabeled),
         A=A,
         A_inverse=A_inverse,
         Q=Q,
         reflection=reflection,
-        traffic=traffic(relabeled),
+        traffic=traffic(relabeled, W=W),
     )
 
 
@@ -459,9 +450,14 @@ def reentrant_spec(
         raise SpecValidationError(
             (("service_means", f"expected {K} entries matching the route"),)
         )
+    out_of_range = sorted({s for s in route if s < 1})
+    if out_of_range:
+        raise SpecValidationError(
+            (("route", f"station indices must be at least 1, got {out_of_range}"),)
+        )
     d = max(route)
     missing = [i for i in range(1, d + 1) if i not in route]
-    if min(route) < 1 or missing:
+    if missing:
         raise SpecValidationError(
             (("route", f"stations must cover 1..{d} with no gaps, missing {missing}"),)
         )

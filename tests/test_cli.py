@@ -329,25 +329,28 @@ def test_tight_refuses_lp_above_dimension_cap(tmp_path, capsys):
     assert "tightness-LP cap 7" in capsys.readouterr().err
 
 
-def test_reentrant_validation_failure(tmp_path):
-    assert (
-        main(
-            [
-                "reentrant",
-                "--route",
-                "1,3",
-                "--means",
-                "1,1",
-                "--arrival",
-                "1",
-                "--discipline",
-                "fbfs",
-                "-o",
-                str(tmp_path / "x.json"),
-            ]
+def test_reentrant_validation_failure(tmp_path, capsys):
+    # a station gap, a non-integer station and a fractional one
+    for route in ("1,3", "1,x", "1,,2.5"):
+        assert (
+            main(
+                [
+                    "reentrant",
+                    "--route",
+                    route,
+                    "--means",
+                    "1,1",
+                    "--arrival",
+                    "1",
+                    "--discipline",
+                    "fbfs",
+                    "-o",
+                    str(tmp_path / "x.json"),
+                ]
+            )
+            == 1
         )
-        == 1
-    )
+        assert "route" in capsys.readouterr().err
 
 
 def test_human_readable_analyze(spec_file, capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from reflecto import network
 from reflecto import (
     NetworkSpec,
     QSingularError,
@@ -286,6 +287,56 @@ def test_identities_on_random_specs():
                 assert derived.A_inverse.at(
                     sets.lowest[i] - 1, sets.lowest[j] - 1
                 ) == derived.Q.at(i - 1, j - 1)
+        # derive_matrices hands each builder its inputs; the builders alone
+        # derive them again and must agree field by field
+        relabeled = derived.spec
+        assert derived.W == build_W(relabeled)
+        assert derived.B == build_B(relabeled)
+        assert derived.F == build_F(relabeled)
+        assert derived.A == build_A(relabeled)
+        assert derived.A_inverse == build_A_inverse(relabeled)
+        assert derived.Q == build_Q(relabeled)
+        assert derived.traffic == traffic(relabeled)
+        if derived.reflection is None:
+            with pytest.raises(QSingularError):
+                reflection_matrix(relabeled)
+        else:
+            assert derived.reflection == reflection_matrix(relabeled)
+
+
+def test_derive_builds_each_matrix_once(monkeypatch):
+    K = 24
+    spec = reentrant_spec(
+        [1 + k % 4 for k in range(K)],
+        [Fraction(1 + k % 3, 7) for k in range(K)],
+        Fraction(1, 5),
+        "fbfs",
+    )
+    calls = {"build_A": 0, "build_B": 0, "inverse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(network, "build_A", counted("build_A", network.build_A))
+    monkeypatch.setattr(network, "build_B", counted("build_B", network.build_B))
+    inverse = RatMatrix.inverse
+
+    def counted_inverse(self):
+        if self.rows == K:
+            calls["inverse"] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(RatMatrix, "inverse", counted_inverse)
+    derived = derive_matrices(spec)
+    assert derived.reflection is not None
+    assert calls["build_A"] == 1
+    assert calls["build_B"] == 1
+    # one K x K inverse validates the routing, the other is W
+    assert calls["inverse"] <= 2
 
 
 def test_reentrant_workload_matches_partial_sums():
@@ -370,6 +421,10 @@ def test_lbfs_lines_have_staircase_reflection():
 def test_reentrant_route_must_cover_stations():
     with pytest.raises(SpecValidationError):
         reentrant_spec([1, 3], [1, 1], Fraction(1), "fbfs")
+    for route, bad in (([1, 0, 2], "[0]"), ([-1, 1], "[-1]")):
+        with pytest.raises(SpecValidationError) as caught:
+            reentrant_spec(route, [1] * len(route), Fraction(1), "fbfs")
+        assert f"at least 1, got {bad}" in str(caught.value)
     with pytest.raises(SpecValidationError):
         reentrant_spec([], [], Fraction(1), "fbfs")
     with pytest.raises(SpecValidationError):
