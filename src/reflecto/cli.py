@@ -6,7 +6,7 @@ for one b or over sampled b), ``reentrant`` (emit a reentrant-line network
 file) and ``witness`` (verify a witness table against a matrix).
 
 Exit codes: 0 = analysis completed (even when the matrix is not tight or the
-reflection matrix is undefined), 1 = invalid input, 2 = internal
+reflection matrix is undefined), 1 = invalid input or usage, 2 = internal
 inconsistency.  ``witness`` exits 0 only for a valid non-trivial witness.
 All machine output under ``--json`` is a single JSON document on stdout; the
 output is byte-deterministic for fixed inputs and seed.
@@ -14,6 +14,7 @@ output is byte-deterministic for fixed inputs and seed.
 The environment variable REFLECTO_DIM_CAP overrides the cap on 2^d subset
 enumerations (default 12).  The tightness LP refuses d above
 ``LP_DIMENSION_CAP`` (7) with exit code 1; that cap has no override.
+``--samples`` above ``MAX_SAMPLES`` (1000) is refused with exit code 1.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ from .tightness import (
     decide_tight_matrix,
     verify_assignment,
 )
+
+# Largest --samples value: each sampled b may cost one tightness LP.
+MAX_SAMPLES = 1000
 
 
 def _dimension_cap() -> int:
@@ -165,8 +169,8 @@ def _classification_json(matrix: RatMatrix, cap: int) -> dict:
 
 def _tightness_json(matrix: RatMatrix, b: Optional[tuple], args: argparse.Namespace, cap: int) -> dict:
     """The verdict at one b when b is given, else the layered decision."""
-    if args.samples < 0:
-        raise ReflectoError(f"--samples must be nonnegative, got {args.samples}")
+    if not 0 <= args.samples <= MAX_SAMPLES:
+        raise ReflectoError(f"--samples must lie in 0..{MAX_SAMPLES}, got {args.samples}")
     if b is not None:
         return _verdict_json(check_tight_system(matrix, b), b)
     try:
@@ -341,8 +345,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if not isinstance(table, dict):
         raise ReflectoError("witness file must be a JSON object of key/value strings")
     assignment = assignment_from_table(table, matrix.rows)
-    system = build_system(matrix, b, aux_bounded=not args.unbounded_aux)
-    report = verify_assignment(system, assignment)
+    report = verify_assignment(build_system(matrix, b), assignment)
     document = {
         "command": "witness",
         "ok": report.ok,
@@ -370,8 +373,15 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ReflectoError (exit code 1), not SystemExit(2)."""
+
+    def error(self, message):
+        raise ReflectoError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reflecto",
         description="Exact reflection-matrix derivation, classification and tightness certification.",
     )
@@ -410,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     witness.add_argument("matrix")
     witness.add_argument("witness")
     witness.add_argument("--b", default=None)
-    witness.add_argument("--unbounded-aux", action="store_true")
     witness.add_argument("--json", action="store_true")
     witness.set_defaults(func=_cmd_witness)
 
@@ -418,9 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

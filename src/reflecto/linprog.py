@@ -124,7 +124,7 @@ class _Tableau:
         self.nz = nz
         m = len(rows)
 
-        # Slack / surplus columns.
+        # Slack columns; lp_solve has rewritten every GE row as LE.
         slack_col: list[Optional[int]] = [None] * m
         ncols = nz
         for i, rel in enumerate(relations):
@@ -133,16 +133,14 @@ class _Tableau:
                 ncols += 1
         self.art_start = ncols
 
-        # Integer-scale each constraint row; the slack keeps coefficient +-1.
+        # Integer-scale each constraint row; the slack keeps coefficient 1.
         int_rows: list[tuple[dict[int, int], int]] = []
-        for coeffs, b, rel, sc in zip(rows, rhs, relations, slack_col):
+        for coeffs, b, sc in zip(rows, rhs, slack_col):
             denoms = [v.denominator for v in coeffs.values()] + [b.denominator]
             mult = lcm(*denoms)
             row = {col: int(v * mult) for col, v in coeffs.items()}
-            if rel is Relation.LE:
+            if sc is not None:
                 row[sc] = 1
-            elif rel is Relation.GE:
-                row[sc] = -1
             r = int(b * mult)
             if r < 0:
                 row = {col: -v for col, v in row.items()}

@@ -83,7 +83,14 @@ class ValidationReport:
 
 def validate_spec(spec: NetworkSpec) -> ValidationReport:
     """Check every structural invariant; reports all violations found."""
+    return _validate(spec)[0]
+
+
+def _validate(spec: NetworkSpec) -> tuple[ValidationReport, Optional[RatMatrix]]:
+    """The validation report, with W = build_W(spec) when the transience
+    check got as far as computing it."""
     issues: list[tuple[str, str]] = []
+    W = None
     K, d = spec.class_count, spec.station_count
     if K < 1:
         issues.append(("classes", "need at least one class"))
@@ -133,13 +140,16 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
                     issues.append(
                         ("routing", "(I - P')^{-1} has negative entries (not transient)")
                     )
-    return ValidationReport(tuple(issues))
+    return ValidationReport(tuple(issues)), W
 
 
-def require_valid(spec: NetworkSpec) -> None:
-    report = validate_spec(spec)
+def require_valid(spec: NetworkSpec) -> RatMatrix:
+    """Raise SpecValidationError unless the spec is valid; return the
+    W = build_W(spec) that the transience check computed."""
+    report, W = _validate(spec)
     if not report.valid:
         raise SpecValidationError(report.issues)
+    return W
 
 
 # --------------------------------------------------------------------------
@@ -393,9 +403,9 @@ class DerivedMatrices:
 
 def derive_matrices(spec: NetworkSpec) -> DerivedMatrices:
     """Validate, relabel, and derive every matrix, with internal cross-checks."""
-    require_valid(spec)
+    # relabelling renumbers stations only, so the routing and W are unchanged
+    W = require_valid(spec)
     relabeled, permutation = relabel_stations(spec)
-    W = build_W(relabeled)
     B = build_B(relabeled)
     A = build_A(relabeled, B=B)
     A_inverse = build_A_inverse(relabeled, W=W)

@@ -1,8 +1,8 @@
 """Certification of the subset-indexed boundary system of a reflection matrix.
 
 For a d x d matrix R and a positive vector b, the system couples interior
-unknowns x_D (one per index set D, in [0,1]) with boundary unknowns x_D^(j)
-through three families of constraints:
+unknowns x_D (one per index set D) with boundary unknowns x_D^(j), every one
+in [0,1], through three families of constraints:
 
 * balance rows: for every nonempty D and every i in D,
   sum_j R[i][j] b[j] (x_D^(j) - x_D) = 0;
@@ -15,11 +15,10 @@ x_{D minus j}^(j).  That merge rule is baked into the variable indexing here
 system small and makes the rule hold by construction.
 
 The pair (R, b) is *tight* when the all-ones assignment is the only solution.
-Since every variable is bounded above by 1 through the monotone chains from
-the anchors, minimising the total sum over the feasible polytope decides
-uniqueness with a single exact LP: the minimum equals the variable count
-exactly when all-ones is the unique solution, and any optimal vertex below
-that count is a verifiable witness of non-tightness.
+Since every variable is bounded above by 1, minimising the total sum over the
+feasible polytope decides uniqueness with a single exact LP: the minimum
+equals the variable count exactly when all-ones is the unique solution, and
+any optimal vertex below that count is a verifiable witness of non-tightness.
 
 A matrix is a *tight matrix* when (R, b) is tight for every b > 0.  That
 universal statement is undecidable by sampling, so the layered decision
@@ -28,16 +27,12 @@ two-by-two classification, the staircase pattern, the M-matrix criterion) and
 only then falls back to the LP oracle on sampled b vectors, reporting an
 honest "unknown, all samples tight" when nothing refutes tightness.
 
-The range of the boundary unknowns is ambiguous in the underlying definition;
-``build_system(aux_bounded=True)`` (default) constrains them to [0,1], which
-matches their origin as limits of moment generating functions of probability
-measures at nonpositive arguments, while ``aux_bounded=False`` keeps only the
-implied upper bound.  The choice cannot change the verdict: after y = 1 - x
-every row is homogeneous, so the feasible y form a polyhedral cone, and
-(R, b) is tight exactly when that cone is {0}.  A box on y only rescales a
-nonzero point of the cone, so ``check_tight_system`` takes no mode: its one
-LP over the [0,1] box decides both, and its witness satisfies both systems.
-The mode only changes what ``verify_assignment`` accepts.
+The [0,1] range of the boundary unknowns matches their origin as limits of
+moment generating functions of probability measures at nonpositive
+arguments, and it cannot change a verdict: after y = 1 - x every row is
+homogeneous, so the feasible y form a polyhedral cone, and (R, b) is tight
+exactly when that cone is {0}.  A box on y only rescales a nonzero point of
+the cone.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Mapping, Optional, Sequence
 
 from .classify import (
@@ -149,26 +144,8 @@ class TightnessSystem:
     dimension: int
     reflection: RatMatrix
     b: tuple[Rational, ...]
-    aux_bounded: bool
     variables: tuple[VarIndex, ...]  # free canonical variables, in column order
     rows: tuple[SystemRow, ...]
-
-    def bound(self, var: VarIndex) -> tuple[Optional[Rational], Optional[Rational]]:
-        if var.j is None or self.aux_bounded:
-            return (Fraction(0), Fraction(1))
-        return (None, None)
-
-    def column(self, var: VarIndex) -> int:
-        return self._index[var]
-
-    @property
-    def _index(self) -> dict:
-        # computed lazily; dataclass is frozen so cache on the dict itself
-        cache = self.__dict__.get("_index_cache")
-        if cache is None:
-            cache = {v: i for i, v in enumerate(self.variables)}
-            self.__dict__["_index_cache"] = cache
-        return cache
 
 
 def _check_inputs(reflection: RatMatrix, b: Sequence[RationalLike]) -> tuple[Rational, ...]:
@@ -182,9 +159,7 @@ def _check_inputs(reflection: RatMatrix, b: Sequence[RationalLike]) -> tuple[Rat
     return scale
 
 
-def build_system(
-    reflection: RatMatrix, b: Sequence[RationalLike], aux_bounded: bool = True
-) -> TightnessSystem:
+def build_system(reflection: RatMatrix, b: Sequence[RationalLike]) -> TightnessSystem:
     """Assemble the balance and monotonicity rows over canonical variables.
 
     The all-ones assignment is feasible by construction; this is asserted
@@ -193,6 +168,7 @@ def build_system(
     scale = _check_inputs(reflection, b)
     d = reflection.rows
     indices = list(range(1, d + 1))
+    nonempty = [subset for subset in _all_subsets(d) if subset]
 
     variables = tuple(v for v in canonical_variables(d) if not v.is_constant)
     rows: list[SystemRow] = []
@@ -201,7 +177,7 @@ def build_system(
         return "{" + ",".join(str(i) for i in sorted(subset)) + "}"
 
     # balance rows
-    for subset in _nonempty_subsets(indices):
+    for subset in nonempty:
         dset = frozenset(subset)
         for i in subset:
             terms: dict[VarIndex, Rational] = {}
@@ -230,44 +206,17 @@ def build_system(
                 )
             )
 
-    # monotonicity rows on cover pairs; transitivity supplies the full order
-    for subset in _nonempty_subsets(indices):
-        dset = frozenset(subset)
-        for m in indices:
-            if m in dset:
+    # monotonicity rows on cover pairs, interior family first; transitivity
+    # supplies the full order, and a cover from an anchor is part of the box
+    for j in (None, *indices):
+        for subset in nonempty:
+            dset = frozenset(subset)
+            if j in dset:
                 continue
-            lower = VarIndex.plain(dset)
-            upper = VarIndex.plain(dset | {m})
-            rows.append(
-                SystemRow(
-                    f"mono[{lower.key()}>={upper.key()}]",
-                    ((lower, Fraction(1)), (upper, Fraction(-1))),
-                    Relation.GE,
-                    Fraction(0),
-                )
-            )
-    for j in indices:
-        others = [i for i in indices if i != j]
-        for subset in _all_subsets_of(others):
-            sset = frozenset(subset)
-            for m in others:
-                if m in sset:
+            for m in indices:
+                if m in dset or m == j:
                     continue
-                lower = VarIndex(sset, j)
-                upper = VarIndex(sset | {m}, j)
-                if lower.is_constant:
-                    # cover from the anchor: implied bound x_{m}^(j) <= 1;
-                    # redundant when the [0,1] box is imposed explicitly
-                    if not aux_bounded:
-                        rows.append(
-                            SystemRow(
-                                f"mono[{lower.key()}>={upper.key()}]",
-                                ((upper, Fraction(-1)),),
-                                Relation.GE,
-                                Fraction(-1),
-                            )
-                        )
-                    continue
+                lower, upper = VarIndex(dset, j), VarIndex(dset | {m}, j)
                 rows.append(
                     SystemRow(
                         f"mono[{lower.key()}>={upper.key()}]",
@@ -281,7 +230,6 @@ def build_system(
         dimension=d,
         reflection=reflection,
         b=scale,
-        aux_bounded=aux_bounded,
         variables=variables,
         rows=tuple(rows),
     )
@@ -293,11 +241,6 @@ def build_system(
             "the all-ones assignment must satisfy every constraint"
         )
     return system
-
-
-def _nonempty_subsets(indices: Sequence[int]):
-    for size in range(1, len(indices) + 1):
-        yield from combinations(indices, size)
 
 
 # --------------------------------------------------------------------------
@@ -330,8 +273,8 @@ def verify_assignment(
     The assignment must cover every canonical variable of the system's
     dimension (constants included).
     """
-    d = system.dimension
-    for var in canonical_variables(d):
+    everything = canonical_variables(system.dimension)
+    for var in everything:
         if var not in assignment:
             raise MissingVariableError(var.key())
 
@@ -340,7 +283,7 @@ def verify_assignment(
     def value(var: VarIndex) -> Rational:
         return as_rational(assignment[var])
 
-    for var in canonical_variables(d):
+    for var in everything:
         if var.is_constant:
             v = value(var)
             checks.append(
@@ -369,15 +312,12 @@ def verify_assignment(
 
     for var in system.variables:
         v = value(var)
-        lo, hi = system.bound(var)
-        ok = (lo is None or v >= lo) and (hi is None or v <= hi)
-        if var.j is None or system.aux_bounded:
-            checks.append(
-                CheckResult(f"range[{var.key()}]", ok, f"{var.key()} = {format_rational(v)}")
-            )
+        checks.append(
+            CheckResult(f"range[{var.key()}]", 0 <= v <= 1, f"{var.key()} = {format_rational(v)}")
+        )
 
     ok = all(c.passed for c in checks)
-    is_all_ones = all(value(v) == 1 for v in canonical_variables(d))
+    is_all_ones = all(value(v) == 1 for v in everything)
     return VerificationReport(ok=ok, is_all_ones=is_all_ones, checks=checks)
 
 
@@ -412,9 +352,8 @@ def check_tight_system(
     system.  Every row is homogeneous in y, so y = 0 is feasible; the solver
     still enters each balance equality with an artificial variable and pivots
     it out before it optimises, and those pivots are most of the work (80 of
-    92 on a d = 5 M-matrix at b = 1).  The witness is re-verified against the
-    bounded system; it satisfies the ``aux_bounded=False`` system too (see the
-    module docstring).  Raises DimensionCapError above ``LP_DIMENSION_CAP``.
+    92 on a d = 5 M-matrix at b = 1).  The witness is re-verified exactly.
+    Raises DimensionCapError above ``LP_DIMENSION_CAP``.
     """
     if reflection.rows > LP_DIMENSION_CAP:
         raise DimensionCapError(
@@ -422,13 +361,14 @@ def check_tight_system(
         )
     system = build_system(reflection, b)
     nfree = len(system.variables)
+    column = {var: k for k, var in enumerate(system.variables)}
 
     rows = []
     for row in system.rows:
         coeffs = [Fraction(0)] * nfree
         coeff_sum = Fraction(0)
         for var, c in row.terms:
-            coeffs[system.column(var)] = -c
+            coeffs[column[var]] = -c
             coeff_sum += c
         rows.append(constraint(coeffs, row.relation, row.rhs - coeff_sum))
     # y_k <= 1, built directly: constraint() would coerce nfree^2 zeros.
@@ -463,22 +403,15 @@ def check_tight_system(
 # --------------------------------------------------------------------------
 
 
-def nonnegative_case_witness(
-    reflection: RatMatrix,
-    b: Sequence[RationalLike],
-    eps: RationalLike = Fraction(1, 2),
-) -> dict:
+def nonnegative_case_witness(reflection: RatMatrix, b: Sequence[RationalLike]) -> dict:
     """Explicit non-tightness witness for 2x2 matrices with off-diag >= 0.
 
     With a1 = R12 b2 / (R11 b1) and a2 = R21 b1 / (R22 b2), the assignment
-    x_{1} = (eps*a1 + 1)/(a1 + 1), x_{2} = (eps*a2 + 1)/(a2 + 1) and
-    x_{1,2} = x_{2}^(1) = x_{1}^(2) = eps satisfies every constraint for any
-    eps in (0, 1], and differs from all-ones whenever eps < 1.
+    x_{1} = (a1/2 + 1)/(a1 + 1), x_{2} = (a2/2 + 1)/(a2 + 1) and
+    x_{1,2} = x_{2}^(1) = x_{1}^(2) = 1/2 satisfies every constraint.
     """
     scale = _check_inputs(reflection, b)
-    e = as_rational(eps)
-    if not (0 < e <= 1):
-        raise ReflectoError(f"eps must lie in (0, 1], got {format_rational(e)}")
+    half = Fraction(1, 2)
     case = classify_two_by_two(reflection)
     if case is not TwoByTwoCase.NOT_TIGHT_NONNEGATIVE:
         raise ReflectoError(
@@ -492,14 +425,13 @@ def nonnegative_case_witness(
         VarIndex.plain(()): Fraction(1),
         VarIndex.boundary(1, (1,)): Fraction(1),
         VarIndex.boundary(2, (2,)): Fraction(1),
-        VarIndex.plain((1,)): (e * a1 + 1) / (a1 + 1),
-        VarIndex.plain((2,)): (e * a2 + 1) / (a2 + 1),
-        VarIndex.plain((1, 2)): e,
-        VarIndex.boundary(1, (2,)): e,
-        VarIndex.boundary(2, (1,)): e,
+        VarIndex.plain((1,)): (half * a1 + 1) / (a1 + 1),
+        VarIndex.plain((2,)): (half * a2 + 1) / (a2 + 1),
+        VarIndex.plain((1, 2)): half,
+        VarIndex.boundary(1, (2,)): half,
+        VarIndex.boundary(2, (1,)): half,
     }
-    system = build_system(reflection, scale, aux_bounded=True)
-    report = verify_assignment(system, witness)
+    report = verify_assignment(build_system(reflection, scale), witness)
     if not report.ok:
         raise InternalInconsistencyError("explicit witness failed verification")
     return witness
@@ -536,15 +468,13 @@ def sample_b_vectors(
     d: int, count: int, seed: int
 ) -> tuple[tuple[Rational, ...], ...]:
     """Seeded positive rationals u/v with u, v uniform on 1..16."""
+    return tuple(_sampled_b(d, count, seed))
+
+
+def _sampled_b(d: int, count: int, seed: int):
     rng = random.Random(seed)
-    out = []
     for _ in range(count):
-        out.append(
-            tuple(
-                Fraction(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(d)
-            )
-        )
-    return tuple(out)
+        yield tuple(Fraction(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(d))
 
 
 def decide_tight_matrix(
@@ -576,7 +506,7 @@ def decide_tight_matrix(
                 DecisionStatus.TIGHT_PROVEN, ProofMethod.TWO_BY_TWO
             )
         if case is TwoByTwoCase.NOT_TIGHT_NONNEGATIVE:
-            witness = nonnegative_case_witness(reflection, ones, Fraction(1, 2))
+            witness = nonnegative_case_witness(reflection, ones)
             return TightMatrixDecision(
                 DecisionStatus.NOT_TIGHT, b_witness=ones, witness=witness
             )
@@ -591,7 +521,8 @@ def decide_tight_matrix(
         return TightMatrixDecision(DecisionStatus.TIGHT_PROVEN, ProofMethod.M_MATRIX)
 
     tested: list[tuple[Rational, ...]] = []
-    for b in (ones,) + sample_b_vectors(d, sample_count, seed):
+    # each sampled b is drawn only when it is about to be tested
+    for b in chain((ones,), _sampled_b(d, sample_count, seed)):
         verdict = check_tight_system(reflection, b)
         tested.append(b)
         if not verdict.tight:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from reflecto.cli import main
+from reflecto.cli import MAX_SAMPLES, main
 
 REFLECTION_ROWS = [["1", "0", "0"], ["-3", "1", "0"], ["3", "-2", "1"]]
 
@@ -255,11 +255,48 @@ def test_tight_decision_nonnegative_case(tmp_path, capsys):
     assert result["witness"]["x{1}"] == "3/4"
 
 
-@pytest.mark.parametrize("command", ["tight", "analyze"])
-def test_negative_samples_rejected(matrix_file, spec_file, capsys, command):
+@pytest.mark.parametrize(
+    "command, samples",
+    [
+        ("analyze", "-3"),
+        ("tight", "-3"),
+        ("analyze", str(MAX_SAMPLES + 1)),
+        ("tight", str(MAX_SAMPLES + 1)),
+    ],
+    ids=["analyze", "tight", "analyze-above-max", "tight-above-max"],
+)
+def test_negative_samples_rejected(matrix_file, spec_file, capsys, command, samples):
     path = matrix_file if command == "tight" else spec_file
-    assert main([command, path, "--samples", "-3"]) == 1
+    assert main([command, path, "--samples", samples]) == 1
     assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tight", "MATRIX", "--samples", "abc"],
+        ["tight", "MATRIX", "--bogus"],
+        ["frobnicate"],
+        ["witness", "MATRIX", "WITNESS", "--unbounded-aux"],
+    ],
+    ids=["bad-int", "unknown-option", "unknown-command", "removed-unbounded-aux"],
+)
+def test_usage_errors_exit_one(matrix_file, tmp_path, capsys, argv):
+    witness_path = tmp_path / "witness.json"
+    witness_path.write_text(json.dumps(WITNESS_TABLE))
+    paths = {"MATRIX": matrix_file, "WITNESS": str(witness_path)}
+    assert main([paths.get(arg, arg) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: reflecto")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["tight", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert "usage: reflecto" in capsys.readouterr().out
 
 
 def test_tight_not_completely_s(tmp_path, capsys):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -161,21 +162,10 @@ def test_all_ones_is_feasible_in_every_built_system():
             entries[i][i] = abs(entries[i][i]) + 1
         R = RatMatrix(entries)
         b = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(d)]
-        system = build_system(R, b, aux_bounded=rng.random() < 0.5)
+        system = build_system(R, b)
         ones = {v: Fraction(1) for v in canonical_variables(d)}
         report = verify_assignment(system, ones)
         assert report.ok and report.is_all_ones
-
-
-def test_unbounded_aux_mode_adds_anchor_cover_rows():
-    R = RatMatrix([[2, -1], [-1, 2]])
-    bounded = build_system(R, ONES3[:2], aux_bounded=True)
-    relaxed = build_system(R, ONES3[:2], aux_bounded=False)
-    anchors = [r for r in relaxed.rows if r.label.startswith("mono[x{}^")]
-    assert len(anchors) == 2  # one per boundary family at d = 2
-    assert not [r for r in bounded.rows if r.label.startswith("mono[x{}^")]
-    assert bounded.bound(VarIndex.boundary(1, (2,))) == (Fraction(0), Fraction(1))
-    assert relaxed.bound(VarIndex.boundary(1, (2,))) == (None, None)
 
 
 # --------------------------------------------------------------------------
@@ -183,13 +173,11 @@ def test_unbounded_aux_mode_adds_anchor_cover_rows():
 # --------------------------------------------------------------------------
 
 
-def test_hand_witness_verifies_in_both_modes():
+def test_hand_witness_verifies():
     assignment = assignment_from_table(WITNESS_TABLE, 3)
-    for aux_bounded in (True, False):
-        system = build_system(REFLECTION, ONES3, aux_bounded)
-        report = verify_assignment(system, assignment)
-        assert report.ok, report.failures()
-        assert not report.is_all_ones
+    report = verify_assignment(build_system(REFLECTION, ONES3), assignment)
+    assert report.ok, report.failures()
+    assert not report.is_all_ones
 
 
 def test_all_ones_assignment_reports_trivial():
@@ -237,16 +225,25 @@ def test_reflection_fixture_is_not_tight_for_unit_b():
     assert report.ok and not report.is_all_ones
 
 
-def test_reflection_fixture_modes_agree():
-    # One box LP decides both modes: every witness it returns verifies in the
-    # bounded and in the relaxed system.
-    verdict = check_tight_system(REFLECTION, ONES3)
-    assert not verdict.tight
-    assert verdict.optimum == Fraction(11, 2)
-    for aux_bounded in (True, False):
-        report = verify_assignment(build_system(REFLECTION, ONES3, aux_bounded), verdict.witness)
-        assert report.ok and not report.is_all_ones
+def test_box_witness_rescales_along_the_cone():
+    # After y = 1 - x every row is homogeneous, so the box on the unknowns
+    # only fixes the scale of a point of the cone.  Doubling the fixture's
+    # y leaves every row satisfied but leaves the box; scaling the largest
+    # y back to 1 verifies again and is still not all-ones.
+    x = check_tight_system(REFLECTION, ONES3).witness
+    doubled = {var: 1 - 2 * (1 - v) for var, v in x.items()}
+    system = build_system(REFLECTION, ONES3)
+    failures = verify_assignment(system, doubled).failures()
+    assert len(failures) == 10
+    assert all(c.label.startswith("range[") for c in failures)
 
+    top = max(1 - v for v in doubled.values())
+    rescaled = {var: 1 - (1 - v) / top for var, v in doubled.items()}
+    report = verify_assignment(system, rescaled)
+    assert report.ok and not report.is_all_ones
+
+
+def test_lp_witnesses_verify():
     rng = random.Random(61)
     checked = 0
     while checked < 30:
@@ -257,15 +254,14 @@ def test_reflection_fixture_modes_agree():
         b = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(d)]
         verdict = check_tight_system(R, b)
         if not verdict.tight:
-            for aux_bounded in (True, False):
-                report = verify_assignment(build_system(R, b, aux_bounded), verdict.witness)
-                assert report.ok and not report.is_all_ones
+            report = verify_assignment(build_system(R, b), verdict.witness)
+            assert report.ok and not report.is_all_ones
         checked += 1
 
 
 def test_seeded_verdicts_and_witnesses_are_pinned():
     # Optima and witness tables of completely-S matrices at d = 3 and 4, drawn
-    # as in test_reflection_fixture_modes_agree; a different pivot sequence
+    # as in test_lp_witnesses_verify; a different pivot sequence
     # would report a different optimal vertex, hence a different witness.
     rng = random.Random(62)
     records = []
@@ -379,9 +375,7 @@ def test_rejects_nonpositive_b():
 
 
 def test_nonnegative_case_witness_matches_formulas():
-    witness = nonnegative_case_witness(
-        RatMatrix([[1, 1], [1, 1]]), (1, 1), Fraction(1, 2)
-    )
+    witness = nonnegative_case_witness(RatMatrix([[1, 1], [1, 1]]), (1, 1))
     assert witness[VarIndex.plain((1,))] == Fraction(3, 4)
     assert witness[VarIndex.plain((2,))] == Fraction(3, 4)
     assert witness[VarIndex.plain((1, 2))] == Fraction(1, 2)
@@ -390,9 +384,7 @@ def test_nonnegative_case_witness_matches_formulas():
 
 
 def test_nonnegative_case_witness_with_zero_entry():
-    witness = nonnegative_case_witness(
-        RatMatrix([[1, 0], [1, 1]]), (1, 1), Fraction(1, 2)
-    )
+    witness = nonnegative_case_witness(RatMatrix([[1, 0], [1, 1]]), (1, 1))
     assert witness[VarIndex.plain((1,))] == Fraction(1)
     assert witness[VarIndex.plain((2,))] == Fraction(3, 4)
     assert witness[VarIndex.plain((1, 2))] == Fraction(1, 2)
@@ -400,18 +392,9 @@ def test_nonnegative_case_witness_with_zero_entry():
     assert verify_assignment(system, witness).ok
 
 
-def test_nonnegative_case_witness_collapses_at_eps_one():
-    witness = nonnegative_case_witness(RatMatrix([[1, 1], [1, 1]]), (1, 1), Fraction(1))
-    assert all(v == 1 for v in witness.values())
-
-
 def test_nonnegative_case_witness_validates_inputs():
     with pytest.raises(ReflectoError):
-        nonnegative_case_witness(RatMatrix([[1, 1], [1, 1]]), (1, 1), Fraction(0))
-    with pytest.raises(ReflectoError):
-        nonnegative_case_witness(RatMatrix([[1, 1], [1, 1]]), (1, 1), Fraction(3, 2))
-    with pytest.raises(ReflectoError):
-        nonnegative_case_witness(RatMatrix([[2, -1], [-1, 2]]), (1, 1), Fraction(1, 2))
+        nonnegative_case_witness(RatMatrix([[2, -1], [-1, 2]]), (1, 1))
 
 
 # --------------------------------------------------------------------------
@@ -488,6 +471,27 @@ def test_decide_sampled_stages():
         assert verify_assignment(system, decision.witness).ok
     else:
         assert decision.status is DecisionStatus.UNKNOWN_SAMPLED
+
+
+def test_refutation_at_unit_b_draws_no_sampled_b(monkeypatch):
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randint(self, a, b):
+            draws.append((a, b))
+            return super().randint(a, b)
+
+    monkeypatch.setattr(tightness, "random", SimpleNamespace(Random=CountingRandom))
+    decision = decide_tight_matrix(REFLECTION, sample_count=20)
+    assert decision.b_witness == ONES3
+    assert draws == []
+
+    # Tight at unit b, refuted at the third of five sampled b: the decision
+    # draws those three, in the order sample_b_vectors lists them, and stops.
+    R = RatMatrix([[1, 0, 0], [-3, 2, 0], [3, -4, 1]])
+    decision = decide_tight_matrix(R, sample_count=5, seed=1)
+    assert len(draws) == 3 * 2 * 3  # three b, two randint calls per entry
+    assert decision.b_witness == sample_b_vectors(3, 5, 1)[2]
 
 
 def test_sampled_b_vectors_are_reproducible():
