@@ -48,10 +48,10 @@ def _require_square(matrix: RatMatrix) -> int:
     return matrix.rows
 
 
-def _check_cap(d: int, cap: int) -> None:
-    if d > cap:
+def _check_cap(d: int) -> None:
+    if d > DEFAULT_DIMENSION_CAP:
         raise DimensionCapError(
-            f"dimension {d} exceeds the subset-enumeration cap {cap}"
+            f"dimension {d} exceeds the subset-enumeration cap {DEFAULT_DIMENSION_CAP}"
         )
 
 
@@ -66,24 +66,20 @@ def is_s_matrix(matrix: RatMatrix) -> bool:
     return outcome.status is LpStatus.OPTIMAL
 
 
-def is_completely_s(
-    matrix: RatMatrix, cap: int = DEFAULT_DIMENSION_CAP
-) -> tuple[bool, Optional[tuple[int, ...]]]:
+def is_completely_s(matrix: RatMatrix) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Check every principal submatrix; returns the first failing subset."""
     d = _require_square(matrix)
-    _check_cap(d, cap)
+    _check_cap(d)
     for subset in subsets_lex(d):
         if not is_s_matrix(matrix.principal_submatrix(subset)):
             return False, subset
     return True, None
 
 
-def is_p_matrix(
-    matrix: RatMatrix, cap: int = DEFAULT_DIMENSION_CAP
-) -> tuple[bool, Optional[tuple[int, ...]]]:
+def is_p_matrix(matrix: RatMatrix) -> tuple[bool, Optional[tuple[int, ...]]]:
     """True iff every principal minor is positive; first failure reported."""
     d = _require_square(matrix)
-    _check_cap(d, cap)
+    _check_cap(d)
     for subset in subsets_lex(d):
         if matrix.principal_submatrix(subset).det() <= 0:
             return False, subset
@@ -95,10 +91,10 @@ def _nonpositive_off_diagonal(matrix: RatMatrix) -> bool:
     return all(matrix.at(i, j) <= 0 for i in range(d) for j in range(d) if i != j)
 
 
-def is_m_matrix(matrix: RatMatrix, cap: int = DEFAULT_DIMENSION_CAP) -> bool:
+def is_m_matrix(matrix: RatMatrix) -> bool:
     """P-matrix with nonpositive off-diagonal entries."""
     _require_square(matrix)
-    return _nonpositive_off_diagonal(matrix) and is_p_matrix(matrix, cap)[0]
+    return _nonpositive_off_diagonal(matrix) and is_p_matrix(matrix)[0]
 
 
 def is_positive_definite(matrix: RatMatrix) -> bool:
@@ -148,9 +144,7 @@ def classify_two_by_two(matrix: RatMatrix) -> TwoByTwoCase:
     return TwoByTwoCase.NOT_COMPLETELY_S
 
 
-def has_staircase_sign_pattern(
-    matrix: RatMatrix, cap: int = DEFAULT_DIMENSION_CAP
-) -> bool:
+def has_staircase_sign_pattern(matrix: RatMatrix) -> bool:
     """P-matrix whose lower part is a strict staircase.
 
     Pattern: positive diagonal, strictly negative first subdiagonal, zeros
@@ -159,7 +153,7 @@ def has_staircase_sign_pattern(
     invariant under right-multiplication by a positive diagonal matrix.
     """
     _require_square(matrix)
-    return _staircase_signs(matrix) and is_p_matrix(matrix, cap)[0]
+    return _staircase_signs(matrix) and is_p_matrix(matrix)[0]
 
 
 def _staircase_signs(matrix: RatMatrix) -> bool:
@@ -192,18 +186,18 @@ class ClassReport:
     failing_subset: Optional[tuple[int, ...]] = None
 
 
-def classify_matrix(matrix: RatMatrix, cap: int = DEFAULT_DIMENSION_CAP) -> ClassReport:
+def classify_matrix(matrix: RatMatrix) -> ClassReport:
     """Run every class test and package the result.
 
     The principal minors are computed once.  P implies completely-S, so the
     2^d - 1 S-LPs run only when some minor is nonpositive; the M-property and
     the staircase pattern are the P-property plus a sign condition.
     """
-    p, p_failure = is_p_matrix(matrix, cap)
+    p, p_failure = is_p_matrix(matrix)
     if p:
         completely_s, failing = True, None
     else:
-        completely_s, failing = is_completely_s(matrix, cap)
+        completely_s, failing = is_completely_s(matrix)
         if completely_s:
             failing = p_failure
     return ClassReport(

@@ -8,25 +8,25 @@ file) and ``witness`` (verify a witness table against a matrix).
 Exit codes: 0 = analysis completed (even when the matrix is not tight or the
 reflection matrix is undefined), 1 = invalid input or usage, 2 = internal
 inconsistency.  ``witness`` exits 0 only for a valid non-trivial witness.
-All machine output under ``--json`` is a single JSON document on stdout; the
-output is byte-deterministic for fixed inputs and seed.
+Each command builds one JSON document.  Under ``--json`` it is printed as
+is, byte-deterministic for fixed inputs and seed; otherwise ``_render`` lays
+the same document out as indented text for reading, which is not a stable
+format.  ``reentrant`` always prints its network file as JSON.
 
-The environment variable REFLECTO_DIM_CAP overrides the cap on 2^d subset
-enumerations (default 12).  The tightness LP refuses d above
-``LP_DIMENSION_CAP`` (7) with exit code 1; that cap has no override.
-``--samples`` above ``MAX_SAMPLES`` (1000) is refused with exit code 1.
+Classification refuses d above ``DEFAULT_DIMENSION_CAP`` (12) and the
+tightness LP refuses d above ``LP_DIMENSION_CAP`` (7), both with exit code 1.
+``--samples`` outside 0..``MAX_SAMPLES`` (1000) is a usage error, exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .classify import DEFAULT_DIMENSION_CAP, classify_matrix, classify_two_by_two
+from .classify import classify_matrix, classify_two_by_two
 from .errors import (
     InternalInconsistencyError,
     NotCompletelySError,
@@ -47,7 +47,6 @@ from .rational import (
     parse_rational_csv,
 )
 from .tightness import (
-    DecisionStatus,
     TightMatrixDecision,
     TightnessVerdict,
     assignment_from_table,
@@ -62,14 +61,15 @@ from .tightness import (
 MAX_SAMPLES = 1000
 
 
-def _dimension_cap() -> int:
-    raw = os.environ.get("REFLECTO_DIM_CAP")
-    if raw is None:
-        return DEFAULT_DIMENSION_CAP
+def _sample_count(text: str) -> int:
+    """argparse type of ``--samples``: an integer in 0..MAX_SAMPLES."""
     try:
-        return int(raw)
+        count = int(text)
     except ValueError:
-        raise ReflectoError(f"REFLECTO_DIM_CAP must be an integer, got {raw!r}")
+        count = -1
+    if not 0 <= count <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be an integer in 0..{MAX_SAMPLES}, got {text!r}")
+    return count
 
 
 def _load_matrix_file(path: str) -> tuple[RatMatrix, Optional[tuple]]:
@@ -111,14 +111,43 @@ def _matrix_json(matrix: Optional[RatMatrix]):
     return None if matrix is None else matrix.to_strings()
 
 
-def _format_matrix_block(matrix: RatMatrix, indent: str = "  ") -> str:
-    cells = matrix.to_strings()
-    widths = [max(len(row[j]) for row in cells) for j in range(matrix.cols)]
+def _format_matrix_block(rows: list[list[str]], indent: str) -> str:
+    widths = [max(map(len, column)) for column in zip(*rows)]
     lines = [
         indent + "[ " + "  ".join(cell.rjust(widths[j]) for j, cell in enumerate(row)) + " ]"
-        for row in cells
+        for row in rows
     ]
     return "\n".join(lines)
+
+
+def _scalar(value) -> str:
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _render(document: dict, indent: str = "") -> list[str]:
+    """Lay a command's JSON document out as text lines, every field shown.
+
+    Objects become indented sections, lists of lists (matrices, sampled b)
+    aligned blocks, lists of objects one ``-`` item each, other lists a
+    comma-joined line; strings print bare and other scalars as in JSON.
+    """
+    lines = []
+    for key, value in document.items():
+        head = f"{indent}{key}:"
+        if isinstance(value, dict):
+            lines += [head] + _render(value, indent + "  ")
+        elif isinstance(value, list) and value and all(isinstance(v, list) for v in value):
+            lines += [head, _format_matrix_block(value, indent + "  ")]
+        elif isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+            lines.append(head)
+            for item in value:
+                first, *rest = _render(item, indent + "    ")
+                lines += [indent + "  - " + first.lstrip()] + rest
+        elif isinstance(value, list):
+            lines.append(f"{head} {', '.join(map(_scalar, value))}".rstrip())
+        else:
+            lines.append(f"{head} {_scalar(value)}")
+    return lines
 
 
 def _verdict_json(verdict: TightnessVerdict, b: Sequence[Fraction]) -> dict:
@@ -149,8 +178,8 @@ def _decision_json(decision: TightMatrixDecision) -> dict:
     }
 
 
-def _classification_json(matrix: RatMatrix, cap: int) -> dict:
-    report = classify_matrix(matrix, cap)
+def _classification_json(matrix: RatMatrix) -> dict:
+    report = classify_matrix(matrix)
     two_by_two = None
     if matrix.rows == 2:
         two_by_two = classify_two_by_two(matrix).value
@@ -167,14 +196,12 @@ def _classification_json(matrix: RatMatrix, cap: int) -> dict:
     }
 
 
-def _tightness_json(matrix: RatMatrix, b: Optional[tuple], args: argparse.Namespace, cap: int) -> dict:
+def _tightness_json(matrix: RatMatrix, b: Optional[tuple], samples: int, seed: int) -> dict:
     """The verdict at one b when b is given, else the layered decision."""
-    if not 0 <= args.samples <= MAX_SAMPLES:
-        raise ReflectoError(f"--samples must lie in 0..{MAX_SAMPLES}, got {args.samples}")
     if b is not None:
         return _verdict_json(check_tight_system(matrix, b), b)
     try:
-        return _decision_json(decide_tight_matrix(matrix, args.samples, args.seed, cap))
+        return _decision_json(decide_tight_matrix(matrix, samples, seed))
     except NotCompletelySError as exc:
         return {
             "mode": "decide",
@@ -183,35 +210,12 @@ def _tightness_json(matrix: RatMatrix, b: Optional[tuple], args: argparse.Namesp
         }
 
 
-def _print_tightness(result: dict) -> None:
-    if result["mode"] == "single_b":
-        state = "tight" if result["tight"] else "not tight"
-        print(f"b = {result['b']}: {state} (optimum {result['optimum']} of {result['variable_count']})")
-    else:
-        print(f"status: {result['status']}")
-        if result.get("method"):
-            print(f"method: {result['method']}")
-        if result.get("b_witness"):
-            print(f"failing b: {result['b_witness']}")
-        if result.get("failing_subset"):
-            print(f"failing subset: {set(result['failing_subset'])}")
-    if result.get("witness"):
-        print("witness:")
-        for key, value in result["witness"].items():
-            print(f"  {key} = {value}")
-
-
-def _print_json(document: dict) -> None:
-    print(json.dumps(document, indent=2))
-
-
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    cap = _dimension_cap()
+def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, int]:
     spec = load_spec(args.spec)
     derived = derive_matrices(spec)
 
@@ -244,80 +248,34 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         report["tightness"] = None
     else:
         R = derived.reflection
-        report["classification"] = _classification_json(R, cap)
+        report["classification"] = _classification_json(R)
         b = None if args.b is None else _parse_b(args.b, R.rows)
-        report["tightness"] = _tightness_json(R, b, args, cap)
-
-    if args.json:
-        _print_json(report)
-        return 0
-
-    print(f"network: {spec.class_count} classes, {spec.station_count} stations")
-    print(f"station order (new -> original): {list(derived.relabel)}")
-    for name in ("W", "B", "F", "A", "Q"):
-        print(f"{name} =")
-        print(_format_matrix_block(getattr(derived, name)))
-    t = report["traffic"]
-    print(f"alpha = {t['alpha']}")
-    print(f"rho = {t['rho']} (heavy traffic: {t['heavy_traffic']})")
-    if derived.reflection is None:
-        print("R = undefined: Q singular")
-        return 0
-    print("R =")
-    print(_format_matrix_block(derived.reflection))
-    cls = report["classification"]
-    print(
-        "classes: completely-S={completely_s} P={p_matrix} M={m_matrix} "
-        "positive-definite={positive_definite}".format(**cls)
-    )
-    print("tightness:")
-    _print_tightness(report["tightness"])
-    return 0
+        report["tightness"] = _tightness_json(R, b, args.samples, args.seed)
+    return report, 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    cap = _dimension_cap()
+def _cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
     matrix, _ = _load_matrix_file(args.matrix)
     document = {
         "command": "classify",
         "matrix": matrix.to_strings(),
-        "classification": _classification_json(matrix, cap),
+        "classification": _classification_json(matrix),
     }
-    if args.json:
-        _print_json(document)
-        return 0
-    cls = document["classification"]
-    print(f"matrix ({matrix.rows}x{matrix.cols}):")
-    print(_format_matrix_block(matrix))
-    print(f"completely-S:      {cls['completely_s']}")
-    print(f"P-matrix:          {cls['p_matrix']}")
-    print(f"M-matrix:          {cls['m_matrix']}")
-    print(f"positive definite: {cls['positive_definite']}")
-    if cls["failing_subset"] is not None:
-        print(f"failing subset:    {set(cls['failing_subset'])}")
-    if cls["two_by_two_case"] is not None:
-        print(f"two-by-two case:   {cls['two_by_two_case']}")
-    print(f"staircase pattern: {cls['staircase_pattern']}")
-    return 0
+    return document, 0
 
 
-def _cmd_tight(args: argparse.Namespace) -> int:
-    cap = _dimension_cap()
+def _cmd_tight(args: argparse.Namespace) -> tuple[dict, int]:
     matrix, file_b = _load_matrix_file(args.matrix)
     b = file_b if args.b is None else _parse_b(args.b, matrix.rows)
     document = {
         "command": "tight",
         "matrix": matrix.to_strings(),
-        "result": _tightness_json(matrix, b, args, cap),
+        "result": _tightness_json(matrix, b, args.samples, args.seed),
     }
-    if args.json:
-        _print_json(document)
-    else:
-        _print_tightness(document["result"])
-    return 0
+    return document, 0
 
 
-def _cmd_reentrant(args: argparse.Namespace) -> int:
+def _cmd_reentrant(args: argparse.Namespace) -> tuple[Optional[dict], int]:
     try:
         route = [int(v) for v in args.route.split(",") if v.strip() != ""]
     except ValueError:
@@ -327,12 +285,11 @@ def _cmd_reentrant(args: argparse.Namespace) -> int:
     spec = reentrant_spec(route, means, arrival, args.discipline)
     if args.output:
         dump_spec(spec, args.output)
-    else:
-        _print_json(spec_to_json_dict(spec))
-    return 0
+        return None, 0
+    return spec_to_json_dict(spec), 0
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
+def _cmd_witness(args: argparse.Namespace) -> tuple[dict, int]:
     matrix, file_b = _load_matrix_file(args.matrix)
     if args.b is not None:
         b = _parse_b(args.b, matrix.rows)
@@ -355,17 +312,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             {"constraint": c.label, "detail": c.detail} for c in report.failures()
         ],
     }
-    if args.json:
-        _print_json(document)
-    else:
-        for check in report.checks:
-            marker = "ok " if check.passed else "FAIL"
-            print(f"[{marker}] {check.label}: {check.detail}")
-        print(
-            f"witness {'verifies' if report.ok else 'fails'};"
-            f" all-ones: {report.is_all_ones}"
-        )
-    return 0 if (report.ok and not report.is_all_ones) else 1
+    return document, 0 if document["valid_nontrivial"] else 1
 
 
 # --------------------------------------------------------------------------
@@ -391,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("spec")
     analyze.add_argument("--json", action="store_true")
     analyze.add_argument("--b", default=None, help="comma-separated positive rationals")
-    analyze.add_argument("--samples", type=int, default=20)
+    analyze.add_argument("--samples", type=_sample_count, default=20)
     analyze.add_argument("--seed", type=int, default=0)
     analyze.set_defaults(func=_cmd_analyze)
 
@@ -403,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tight = sub.add_parser("tight", help="tightness of a matrix")
     tight.add_argument("matrix")
     tight.add_argument("--b", default=None)
-    tight.add_argument("--samples", type=int, default=20)
+    tight.add_argument("--samples", type=_sample_count, default=20)
     tight.add_argument("--seed", type=int, default=0)
     tight.add_argument("--json", action="store_true")
     tight.set_defaults(func=_cmd_tight)
@@ -414,7 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
     reentrant.add_argument("--arrival", required=True)
     reentrant.add_argument("--discipline", required=True, choices=["fbfs", "lbfs"])
     reentrant.add_argument("-o", "--output", default=None)
-    reentrant.set_defaults(func=_cmd_reentrant)
+    # reentrant prints its network file, when not written to -o, as JSON
+    reentrant.set_defaults(func=_cmd_reentrant, json=True)
 
     witness = sub.add_parser("witness", help="verify a witness table")
     witness.add_argument("matrix")
@@ -429,7 +377,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        document, code = args.func(args)
+        if document is not None:
+            print(json.dumps(document, indent=2) if args.json else "\n".join(_render(document)))
+        return code
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 2

@@ -45,12 +45,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Mapping, Optional, Sequence
 
-from .classify import (
-    DEFAULT_DIMENSION_CAP,
-    TwoByTwoCase,
-    classify_matrix,
-    classify_two_by_two,
-)
+from .classify import TwoByTwoCase, classify_matrix, classify_two_by_two
 from .errors import (
     DimensionCapError,
     InternalInconsistencyError,
@@ -472,28 +467,34 @@ def sample_b_vectors(
 
 
 def _sampled_b(d: int, count: int, seed: int):
+    """Lazy ``sample_b_vectors``; the count is checked when this is called."""
+    if count < 0:
+        raise ReflectoError(f"sample count must be nonnegative, got {count}")
     rng = random.Random(seed)
-    for _ in range(count):
-        yield tuple(Fraction(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(d))
+    return (
+        tuple(Fraction(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(d))
+        for _ in range(count)
+    )
 
 
 def decide_tight_matrix(
     reflection: RatMatrix,
     sample_count: int = 20,
     seed: int = 0,
-    cap: int = DEFAULT_DIMENSION_CAP,
 ) -> TightMatrixDecision:
     """Layered decision: sign certificates first, then the sampled LP oracle.
 
     The certificates read one ``classify_matrix`` report.  Raises
     NotCompletelySError when the matrix fails the completely-S precondition,
-    because the tight-matrix question presumes it.
+    because the tight-matrix question presumes it.  A negative
+    ``sample_count`` raises ReflectoError before any LP runs.
     """
-    report = classify_matrix(reflection, cap)
+    d = reflection.rows
+    sampled = _sampled_b(d, sample_count, seed)
+    report = classify_matrix(reflection)
     if not report.is_completely_s:
         raise NotCompletelySError(report.failing_subset)
 
-    d = reflection.rows
     ones = tuple(Fraction(1) for _ in range(d))
 
     if d == 1:
@@ -522,7 +523,7 @@ def decide_tight_matrix(
 
     tested: list[tuple[Rational, ...]] = []
     # each sampled b is drawn only when it is about to be tested
-    for b in chain((ones,), _sampled_b(d, sample_count, seed)):
+    for b in chain((ones,), sampled):
         verdict = check_tight_system(reflection, b)
         tested.append(b)
         if not verdict.tight:

@@ -109,11 +109,11 @@ def test_positive_definite_examples():
 
 
 def test_dimension_cap():
-    big = RatMatrix.identity(4)
-    with pytest.raises(DimensionCapError):
-        is_completely_s(big, cap=3)
-    with pytest.raises(DimensionCapError):
-        is_p_matrix(big, cap=3)
+    # checked before any subset is enumerated, so a 13x13 matrix stays cheap
+    big = RatMatrix.identity(13)
+    for check in (is_completely_s, is_p_matrix, is_m_matrix, classify_matrix):
+        with pytest.raises(DimensionCapError, match="cap 12"):
+            check(big)
 
 
 def test_two_by_two_cases():

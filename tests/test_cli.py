@@ -1,13 +1,31 @@
 """Command-line interface: exit codes, JSON determinism, round trips."""
 
+import hashlib
 import json
-from fractions import Fraction
 
 import pytest
 
 from reflecto.cli import MAX_SAMPLES, main
 
 REFLECTION_ROWS = [["1", "0", "0"], ["-3", "1", "0"], ["3", "-2", "1"]]
+
+# the reentrant line of the README's command-line block
+LINE_ARGS = ["--route", "1,1,2,3,2,3,3", "--means", "2,1,2,1,1,1,1", "--arrival", "1/3"]
+
+SINGULAR_SPEC = {
+    "classes": 4,
+    "stations": 2,
+    "station_of_class": [1, 1, 2, 2],
+    "priority": [4, 1, 3, 2],
+    "service_means": ["1", "2", "1", "1"],
+    "arrival_rates": ["1/10", "0", "0", "0"],
+    "routing": [
+        ["0", "0", "0", "1"],
+        ["0", "0", "0", "1"],
+        ["0", "1", "0", "0"],
+        ["0", "0", "0", "0"],
+    ],
+}
 
 WITNESS_TABLE = {
     "x{}": "1",
@@ -43,22 +61,14 @@ def matrix_file(tmp_path):
 @pytest.fixture
 def spec_file(tmp_path):
     path = tmp_path / "line.json"
-    code = main(
-        [
-            "reentrant",
-            "--route",
-            "1,1,2,3,2,3,3",
-            "--means",
-            "2,1,2,1,1,1,1",
-            "--arrival",
-            "1/3",
-            "--discipline",
-            "fbfs",
-            "-o",
-            str(path),
-        ]
-    )
-    assert code == 0
+    assert main(["reentrant", *LINE_ARGS, "--discipline", "fbfs", "-o", str(path)]) == 0
+    return str(path)
+
+
+@pytest.fixture
+def singular_spec_file(tmp_path):
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(SINGULAR_SPEC))
     return str(path)
 
 
@@ -84,24 +94,7 @@ def test_analyze_reproduces_reflection_matrix(spec_file, capsys):
 
 def test_analyze_lbfs_proves_tightness(tmp_path, capsys):
     path = tmp_path / "lbfs.json"
-    assert (
-        main(
-            [
-                "reentrant",
-                "--route",
-                "1,1,2,3,2,3,3",
-                "--means",
-                "2,1,2,1,1,1,1",
-                "--arrival",
-                "1/3",
-                "--discipline",
-                "lbfs",
-                "-o",
-                str(path),
-            ]
-        )
-        == 0
-    )
+    assert main(["reentrant", *LINE_ARGS, "--discipline", "lbfs", "-o", str(path)]) == 0
     code = main(["analyze", str(path), "--json"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
@@ -155,27 +148,8 @@ def test_analyze_rejects_invalid_spec(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 1
 
 
-def test_analyze_reports_undefined_reflection(tmp_path, capsys):
-    path = tmp_path / "singular.json"
-    path.write_text(
-        json.dumps(
-            {
-                "classes": 4,
-                "stations": 2,
-                "station_of_class": [1, 1, 2, 2],
-                "priority": [4, 1, 3, 2],
-                "service_means": ["1", "2", "1", "1"],
-                "arrival_rates": ["1/10", "0", "0", "0"],
-                "routing": [
-                    ["0", "0", "0", "1"],
-                    ["0", "0", "0", "1"],
-                    ["0", "1", "0", "0"],
-                    ["0", "0", "0", "0"],
-                ],
-            }
-        )
-    )
-    code = main(["analyze", str(path), "--json"])
+def test_analyze_reports_undefined_reflection(singular_spec_file, capsys):
+    code = main(["analyze", singular_spec_file, "--json"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["reflection_defined"] is False
@@ -256,19 +230,23 @@ def test_tight_decision_nonnegative_case(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, samples",
+    "command, input_file, samples",
     [
-        ("analyze", "-3"),
-        ("tight", "-3"),
-        ("analyze", str(MAX_SAMPLES + 1)),
-        ("tight", str(MAX_SAMPLES + 1)),
+        ("analyze", "spec_file", "-3"),
+        ("tight", "matrix_file", "-3"),
+        ("analyze", "spec_file", str(MAX_SAMPLES + 1)),
+        ("tight", "matrix_file", str(MAX_SAMPLES + 1)),
+        # R is undefined here, so only a parse-time check can refuse the value
+        ("analyze", "singular_spec_file", str(MAX_SAMPLES + 1)),
     ],
-    ids=["analyze", "tight", "analyze-above-max", "tight-above-max"],
+    ids=["analyze", "tight", "analyze-above-max", "tight-above-max", "analyze-singular-above-max"],
 )
-def test_negative_samples_rejected(matrix_file, spec_file, capsys, command, samples):
-    path = matrix_file if command == "tight" else spec_file
+def test_negative_samples_rejected(request, capsys, command, input_file, samples):
+    path = request.getfixturevalue(input_file)
     assert main([command, path, "--samples", samples]) == 1
-    assert "--samples" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -313,8 +291,9 @@ def test_witness_command_accepts_hand_witness(matrix_file, tmp_path, capsys):
     witness_path.write_text(json.dumps(WITNESS_TABLE))
     code = main(["witness", matrix_file, str(witness_path), "--b", "1,1,1"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "verifies" in out
+    assert capsys.readouterr().out == (
+        "command: witness\nok: true\nis_all_ones: false\nvalid_nontrivial: true\nfailures:\n"
+    )
 
 
 def test_witness_command_rejects_all_ones(matrix_file, tmp_path):
@@ -351,11 +330,12 @@ def test_not_tight_report_witness_round_trips(matrix_file, tmp_path, capsys):
     assert main(["witness", matrix_file, str(witness_path), "--b", "1,1,1"]) == 0
 
 
-def test_dimension_cap_environment_override(matrix_file, monkeypatch):
-    monkeypatch.setenv("REFLECTO_DIM_CAP", "2")
-    assert main(["classify", matrix_file]) == 1
-    monkeypatch.setenv("REFLECTO_DIM_CAP", "12")
-    assert main(["classify", matrix_file]) == 0
+def test_classify_refuses_matrix_above_dimension_cap(tmp_path, capsys):
+    rows = [["1" if i == j else "0" for j in range(13)] for i in range(13)]
+    path = tmp_path / "identity13.json"
+    path.write_text(json.dumps({"matrix": rows}))
+    assert main(["classify", str(path)]) == 1
+    assert "subset-enumeration cap 12" in capsys.readouterr().err
 
 
 def test_tight_refuses_lp_above_dimension_cap(tmp_path, capsys):
@@ -393,7 +373,89 @@ def test_reentrant_validation_failure(tmp_path, capsys):
 def test_human_readable_analyze(spec_file, capsys):
     assert main(["analyze", spec_file]) == 0
     out = capsys.readouterr().out
-    assert "R =" in out
-    assert "heavy traffic: True" in out
-    # the tightness section uses the same renderer as `tight`
-    assert "tightness:\nstatus: not_tight\nfailing b: ['1', '1', '1']\nwitness:\n" in out
+    assert out.startswith("command: analyze\ninput:\n  classes: 7\n  stations: 3\n")
+    assert "  R:\n    [  1   0  0 ]\n    [ -3   1  0 ]\n    [  3  -2  1 ]\n" in out
+    assert "  heavy_traffic: true\n" in out
+    assert (
+        "tightness:\n  mode: decide\n  status: not_tight\n  method: null\n"
+        "  b_witness: 1, 1, 1\n  witness:\n    x{}: 1\n"
+    ) in out
+    assert out.endswith("  tested_b: null\n")
+
+
+# sha256 of each command's `--json` stdout on the README's command-line block
+README_JSON_SHA256 = {
+    "analyze-fbfs": "3e1350e2c24c483c87bb640d19be1695b0ba9131aae83cf15ff2dcafb8558ee0",
+    "analyze-lbfs": "a1f4206f70d8613a7766f0633d527408a0e2faf079d71a03fdbd56eb7b9c4499",
+    "classify": "a72a0c5d55eccd9e217d40d596dcfd35516a4ab6d2f1b421f0f92f001e53ef9e",
+    "tight-b": "759c7597a3f42e31885ed2c95cd704ccdf91251d9771ebc78c56481ce4fa3caa",
+    "tight-sampled": "863821214c910ea08dcfdb46c4ffe67b3dd483293b538ec0fdfe55823c64ca81",
+    "witness": "5ec6447ae838b9ead457873f7f87a372e8162f68955db82d307e046665316227",
+    "tight-not-completely-s": "8bc38c5a3fbea9ae987e490d97e04ce7e817ed0aa8efd2fe228c650063408dde",
+}
+
+
+@pytest.fixture
+def readme_commands(tmp_path, spec_file, capsys):
+    """Argument lists, without --json, of the README's command-line block."""
+    lbfs = tmp_path / "lbfs.json"
+    assert main(["reentrant", *LINE_ARGS, "--discipline", "lbfs", "-o", str(lbfs)]) == 0
+    assert main(["analyze", spec_file, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"matrix": report["matrices"]["R"]}))
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(report["tightness"]["witness"]))
+    not_completely_s = tmp_path / "notcs.json"
+    not_completely_s.write_text(json.dumps({"matrix": [["1", "-1"], ["-1", "1"]]}))
+    return {
+        "analyze-fbfs": ["analyze", spec_file],
+        "analyze-lbfs": ["analyze", str(lbfs)],
+        "classify": ["classify", str(matrix)],
+        "tight-b": ["tight", str(matrix), "--b", "1,1,1"],
+        "tight-sampled": ["tight", str(matrix), "--samples", "20", "--seed", "0"],
+        "witness": ["witness", str(matrix), str(witness), "--b", "1,1,1"],
+        "tight-not-completely-s": ["tight", str(not_completely_s)],
+    }
+
+
+def test_json_output_bytes_are_pinned(readme_commands, capsys):
+    for name, argv in readme_commands.items():
+        assert main(argv + ["--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == README_JSON_SHA256[name], name
+
+
+def _scalar_leaves(value, key=None):
+    """(key, text) per scalar of a JSON document; key is None inside lists."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _scalar_leaves(v, k)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _scalar_leaves(item)
+    else:
+        yield key, value if isinstance(value, str) else json.dumps(value)
+
+
+def test_text_output_shows_every_json_field(readme_commands, singular_spec_file, tmp_path, capsys):
+    perturbed = dict(WITNESS_TABLE, **{"x{3}": "1"})
+    perturbed_path = tmp_path / "perturbed.json"
+    perturbed_path.write_text(json.dumps(perturbed))
+    sampled_only = tmp_path / "sampled.json"
+    sampled_only.write_text(json.dumps({"matrix": [["1", "0", "0"], ["-3", "2", "0"], ["3", "-4", "1"]]}))
+    matrix = readme_commands["classify"][1]
+    cases = dict(
+        readme_commands,
+        singular=["analyze", singular_spec_file],
+        failing_witness=["witness", matrix, str(perturbed_path)],
+        unknown_sampled=["tight", str(sampled_only), "--samples", "0"],
+    )
+    for name, argv in cases.items():
+        json_code = main(argv + ["--json"])
+        document = json.loads(capsys.readouterr().out)
+        assert main(argv) == json_code, name
+        text = capsys.readouterr().out
+        for key, leaf in _scalar_leaves(document):
+            expected = leaf if key is None else f"{key}: {leaf}"
+            assert expected in text, (name, expected)

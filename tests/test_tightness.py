@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import reflecto.classify
 import reflecto.tightness as tightness
 from reflecto import (
     LP_DIMENSION_CAP,
@@ -492,6 +493,22 @@ def test_refutation_at_unit_b_draws_no_sampled_b(monkeypatch):
     decision = decide_tight_matrix(R, sample_count=5, seed=1)
     assert len(draws) == 3 * 2 * 3  # three b, two randint calls per entry
     assert decision.b_witness == sample_b_vectors(3, 5, 1)[2]
+
+
+def test_negative_sample_count_is_refused_before_any_lp(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an LP ran for a negative sample count")
+
+    monkeypatch.setattr(reflecto.classify, "lp_solve", fail)
+    monkeypatch.setattr(tightness, "lp_solve", fail)
+    # completely-S but not P: classification alone would run S-LPs
+    not_p = RatMatrix([[1, 2], [2, 1]])
+    for R in (REFLECTION, not_p):
+        with pytest.raises(ReflectoError, match="sample count"):
+            decide_tight_matrix(R, sample_count=-5)
+    with pytest.raises(ReflectoError, match="sample count"):
+        sample_b_vectors(3, -2, 0)
+    assert sample_b_vectors(3, 0, 0) == ()
 
 
 def test_sampled_b_vectors_are_reproducible():
