@@ -152,7 +152,7 @@ def has_staircase_sign_pattern(matrix: RatMatrix) -> bool:
     this shape are tight for every positive scale vector, and the pattern is
     invariant under right-multiplication by a positive diagonal matrix.
     """
-    _require_square(matrix)
+    _check_cap(_require_square(matrix))
     return _staircase_signs(matrix) and is_p_matrix(matrix)[0]
 
 

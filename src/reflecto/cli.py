@@ -8,6 +8,7 @@ file) and ``witness`` (verify a witness table against a matrix).
 Exit codes: 0 = analysis completed (even when the matrix is not tight or the
 reflection matrix is undefined), 1 = invalid input or usage, 2 = internal
 inconsistency.  ``witness`` exits 0 only for a valid non-trivial witness.
+A stdout closed by its reader does not change the exit code.
 Each command builds one JSON document.  Under ``--json`` it is printed as
 is, byte-deterministic for fixed inputs and seed; otherwise ``_render`` lays
 the same document out as indented text for reading, which is not a stable
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -379,7 +381,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
         document, code = args.func(args)
         if document is not None:
-            print(json.dumps(document, indent=2) if args.json else "\n".join(_render(document)))
+            try:
+                print(json.dumps(document, indent=2) if args.json else "\n".join(_render(document)))
+            except BrokenPipeError:
+                pass  # the reader closed stdout early; that is not an input error
         return code
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
@@ -390,7 +395,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Send what is still buffered to os.devnull, so that interpreter
+        # shutdown does not report the closed pipe a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ from typing import Optional, Sequence
 from .errors import (
     InternalInconsistencyError,
     QSingularError,
-    SingularMatrixError,
     SpecValidationError,
 )
 from .matrix import RatMatrix
@@ -83,14 +82,7 @@ class ValidationReport:
 
 def validate_spec(spec: NetworkSpec) -> ValidationReport:
     """Check every structural invariant; reports all violations found."""
-    return _validate(spec)[0]
-
-
-def _validate(spec: NetworkSpec) -> tuple[ValidationReport, Optional[RatMatrix]]:
-    """The validation report, with W = build_W(spec) when the transience
-    check got as far as computing it."""
     issues: list[tuple[str, str]] = []
-    W = None
     K, d = spec.class_count, spec.station_count
     if K < 1:
         issues.append(("classes", "need at least one class"))
@@ -100,7 +92,7 @@ def _validate(spec: NetworkSpec) -> tuple[ValidationReport, Optional[RatMatrix]]
         issues.append(("station_of_class", f"expected {K} entries"))
     elif any(not 1 <= s <= d for s in spec.station_of_class):
         issues.append(("station_of_class", f"station indices must lie in 1..{d}"))
-    else:
+    elif d <= K:  # d > K is reported above, without one line per empty station
         for i in range(1, d + 1):
             if not spec.classes_at(i):
                 issues.append(("station_of_class", f"station {i} serves no class"))
@@ -126,30 +118,31 @@ def _validate(spec: NetworkSpec) -> tuple[ValidationReport, Optional[RatMatrix]]
             if sum(P.row(i)) > 1:
                 issues.append(("routing", f"row {i + 1} sums above one"))
                 break
+        # Transience: W = (I - P')^{-1} = sum of (P')^n exists exactly when
+        # every customer eventually leaves.  For nonnegative P with row sums
+        # at most 1 that holds exactly when every class reaches a class whose
+        # row sums below 1 along positive routing entries; otherwise the
+        # classes that reach none form a closed set, rho(P) = 1 and I - P'
+        # is singular.  Decided by reachability, without inverting I - P'.
         if not issues:
-            # transience: (I - P') must be invertible with a nonnegative
-            # inverse, certifying W = sum of (P')^n
-            try:
-                W = build_W(spec)
-            except SingularMatrixError:
+            leaving = [i for i in range(K) if sum(P.row(i)) < 1]
+            reached = set(leaving)
+            while leaving:
+                j = leaving.pop()
+                for i in range(K):
+                    if i not in reached and P.at(i, j) > 0:
+                        reached.add(i)
+                        leaving.append(i)
+            if len(reached) < K:
                 issues.append(("routing", "I - P is singular (customers never leave)"))
-            else:
-                if any(
-                    W.at(i, j) < 0 for i in range(K) for j in range(K)
-                ):
-                    issues.append(
-                        ("routing", "(I - P')^{-1} has negative entries (not transient)")
-                    )
-    return ValidationReport(tuple(issues)), W
+    return ValidationReport(tuple(issues))
 
 
-def require_valid(spec: NetworkSpec) -> RatMatrix:
-    """Raise SpecValidationError unless the spec is valid; return the
-    W = build_W(spec) that the transience check computed."""
-    report, W = _validate(spec)
+def require_valid(spec: NetworkSpec) -> None:
+    """Raise SpecValidationError unless the spec is valid."""
+    report = validate_spec(spec)
     if not report.valid:
         raise SpecValidationError(report.issues)
-    return W
 
 
 # --------------------------------------------------------------------------
@@ -403,9 +396,9 @@ class DerivedMatrices:
 
 def derive_matrices(spec: NetworkSpec) -> DerivedMatrices:
     """Validate, relabel, and derive every matrix, with internal cross-checks."""
-    # relabelling renumbers stations only, so the routing and W are unchanged
-    W = require_valid(spec)
+    require_valid(spec)
     relabeled, permutation = relabel_stations(spec)
+    W = build_W(relabeled)
     B = build_B(relabeled)
     A = build_A(relabeled, B=B)
     A_inverse = build_A_inverse(relabeled, W=W)
@@ -466,6 +459,10 @@ def reentrant_spec(
             (("route", f"station indices must be at least 1, got {out_of_range}"),)
         )
     d = max(route)
+    if d > K:
+        raise SpecValidationError(
+            (("route", f"a route of {K} visits cannot cover stations 1..{d}"),)
+        )
     missing = [i for i in range(1, d + 1) if i not in route]
     if missing:
         raise SpecValidationError(

@@ -37,6 +37,8 @@ def parse_rational(text: str) -> Rational:
         return Fraction(stripped)
     except ZeroDivisionError:
         raise RationalParseError(f"zero denominator in {text!r}") from None
+    except ValueError as exc:  # more digits than int() converts
+        raise RationalParseError(str(exc)) from None
 
 
 def format_rational(value: Rational) -> str:

@@ -547,23 +547,19 @@ def parse_variable_key(key: str, d: int) -> VarIndex:
     match = _KEY_RE.match(key.strip())
     if not match:
         raise RationalParseError(f"malformed variable key: {key!r}")
-    body = match.group("body")
-    if body == "":
-        subset: tuple[int, ...] = ()
-    else:
-        try:
-            subset = tuple(int(piece) for piece in body.split(","))
-        except ValueError:
-            raise RationalParseError(f"malformed variable key: {key!r}") from None
+    body, j = match.group("body"), match.group("j")
+    try:
+        subset = tuple(int(piece) for piece in body.split(",")) if body else ()
+        j = None if j is None else int(j)
+    except ValueError:  # an empty piece, or more digits than int() converts
+        raise RationalParseError(f"malformed variable key: {key!r}") from None
     if any(not 1 <= i <= d for i in subset) or len(set(subset)) != len(subset):
         raise RationalParseError(f"indices out of range in key {key!r} for dimension {d}")
-    j = match.group("j")
     if j is None:
         return VarIndex.plain(subset)
-    j_val = int(j)
-    if not 1 <= j_val <= d:
+    if not 1 <= j <= d:
         raise RationalParseError(f"boundary index out of range in key {key!r}")
-    return VarIndex.boundary(j_val, subset)
+    return VarIndex.boundary(j, subset)
 
 
 def assignment_to_table(assignment: Mapping[VarIndex, Rational]) -> dict:

@@ -111,7 +111,13 @@ def test_positive_definite_examples():
 def test_dimension_cap():
     # checked before any subset is enumerated, so a 13x13 matrix stays cheap
     big = RatMatrix.identity(13)
-    for check in (is_completely_s, is_p_matrix, is_m_matrix, classify_matrix):
+    for check in (
+        is_completely_s,
+        is_p_matrix,
+        is_m_matrix,
+        has_staircase_sign_pattern,
+        classify_matrix,
+    ):
         with pytest.raises(DimensionCapError, match="cap 12"):
             check(big)
 

@@ -2,9 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import reflecto
+from reflecto import dump_spec, reentrant_spec
 from reflecto.cli import MAX_SAMPLES, main
 
 REFLECTION_ROWS = [["1", "0", "0"], ["-3", "1", "0"], ["3", "-2", "1"]]
@@ -116,9 +123,56 @@ def test_analyze_rejects_malformed_json(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 1
 
 
+def test_analyze_missing_file_exits_one(tmp_path, capsys):
+    assert main(["analyze", str(tmp_path / "absent.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_not_an_input_error(spec_file, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["analyze", spec_file, "--json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_reader_closing_the_pipe_leaves_stderr_empty(tmp_path):
+    # K = 40 prints about 130 kB, twice a 64 KiB pipe buffer, so the write
+    # cannot finish before the reader closes its end
+    K = 40
+    path = tmp_path / "line.json"
+    spec = reentrant_spec(
+        [1 + k % 4 for k in range(K)],
+        [Fraction(1 + k % 3, 7) for k in range(K)],
+        Fraction(1, 5),
+        "fbfs",
+    )
+    dump_spec(spec, str(path))
+    src = str(Path(reflecto.__file__).resolve().parents[1])
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "reflecto.cli", "analyze", str(path), "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    process.stdout.close()
+    stderr = process.stderr.read()
+    process.stderr.close()
+    assert process.wait(timeout=60) == 0
+    assert stderr == b""
+
+
 @pytest.mark.parametrize("command", ["classify", "tight", "witness"])
 @pytest.mark.parametrize(
-    "document", [{"matrix": 5}, {"matrix": [["1"]], "b": 3}, {"matrix": ["1"]}]
+    "document",
+    [{"matrix": 5}, {"matrix": [["1"]], "b": 3}, {"matrix": ["1"]}, {"matrix": [["1" * 5000]]}],
 )
 def test_matrix_commands_reject_malformed_matrix_file(tmp_path, capsys, command, document):
     path = tmp_path / "malformed.json"

@@ -1,6 +1,9 @@
 """Network derivations: the seven-class fixture, identities, and edge cases."""
 
+import json
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,7 @@ from reflecto import (
     NetworkSpec,
     QSingularError,
     RatMatrix,
+    SingularMatrixError,
     SpecValidationError,
     build_A,
     build_A_inverse,
@@ -30,6 +34,7 @@ from reflecto import (
     traffic,
     validate_spec,
 )
+from reflecto.cli import main
 
 from _generators import random_reentrant_line, random_spec
 
@@ -155,8 +160,6 @@ def _base_spec():
 
 
 def test_validation_rejects_superstochastic_row():
-    from dataclasses import replace
-
     spec = replace(_base_spec(), routing=RatMatrix([[2, 0], [0, 0]]))
     report = validate_spec(spec)
     assert not report.valid
@@ -164,8 +167,6 @@ def test_validation_rejects_superstochastic_row():
 
 
 def test_validation_rejects_identity_routing():
-    from dataclasses import replace
-
     spec = replace(_base_spec(), routing=RatMatrix.identity(2))
     report = validate_spec(spec)
     assert not report.valid
@@ -173,8 +174,6 @@ def test_validation_rejects_identity_routing():
 
 
 def test_validation_rejects_empty_station():
-    from dataclasses import replace
-
     spec = replace(_base_spec(), station_count=2)
     report = validate_spec(spec)
     assert not report.valid
@@ -182,17 +181,86 @@ def test_validation_rejects_empty_station():
 
 
 def test_validation_rejects_bad_priorities():
-    from dataclasses import replace
-
     spec = replace(_base_spec(), priority=(1, 1))
     assert not validate_spec(spec).valid
 
 
 def test_validation_rejects_nonpositive_means():
-    from dataclasses import replace
-
     spec = replace(_base_spec(), service_means=(Fraction(0), Fraction(1)))
     assert not validate_spec(spec).valid
+
+
+def test_validation_reports_too_many_stations_once():
+    # one issue, not one "serves no class" line per missing station
+    spec = replace(_base_spec(), station_count=10**5)
+    assert validate_spec(spec).issues == (
+        ("stations", "need 1 <= stations <= classes, got 100000 and 2"),
+    )
+
+
+def _random_routing(rng, K):
+    """Substochastic rows mixing zero rows, self-loops, leaky rows, a closed
+    set of classes (often a cycle) and classes that only feed that set."""
+    rows = [[Fraction(0)] * K for _ in range(K)]
+    closed = sorted(rng.sample(range(K), rng.randint(1, K))) if rng.random() < 0.4 else []
+    cycle = rng.random() < 0.5
+    for i in range(K):
+        shape = rng.random()
+        leak = False
+        if i in closed and cycle:
+            targets = [closed[(closed.index(i) + 1) % len(closed)]]
+        elif i in closed:
+            targets = [j for j in closed if rng.random() < 0.6] or [i]
+        elif closed and shape < 0.3:
+            targets = rng.sample(closed, rng.randint(1, len(closed)))
+        elif shape < 0.45:
+            targets = []
+        elif shape < 0.6:
+            targets, leak = [i], rng.random() < 0.5
+        else:
+            targets = [j for j in range(K) if rng.random() < 0.5]
+            leak = rng.random() < 0.5
+        weights = [rng.randint(1, 3) for _ in targets]
+        total = sum(weights) + (rng.randint(1, 3) if leak else 0)
+        for j, w in zip(targets, weights):
+            rows[i][j] = Fraction(w, total)
+    return rows
+
+
+def _transient_by_inverse(rows):
+    """The reference criterion: I - P' is invertible with a nonnegative inverse."""
+    K = len(rows)
+    try:
+        W = (RatMatrix.identity(K) - RatMatrix(rows).transpose()).inverse()
+    except SingularMatrixError:
+        return False
+    return all(W.at(i, j) >= 0 for i in range(K) for j in range(K))
+
+
+def test_transience_by_reachability_matches_the_inverse():
+    rng = random.Random(9)
+    outcomes = Counter()
+    for trial in range(2000):
+        K = 1 + trial % 6
+        rows = _random_routing(rng, K)
+        spec = replace(
+            _base_spec(),
+            class_count=K,
+            station_of_class=(1,) * K,
+            routing=RatMatrix(rows),
+            service_means=(Fraction(1),) * K,
+            arrival_rates=(Fraction(0),) * K,
+            priority=tuple(range(1, K + 1)),
+        )
+        transient = _transient_by_inverse(rows)
+        report = validate_spec(spec)
+        assert report.valid == transient, rows
+        if not transient:
+            assert report.issues == (
+                ("routing", "I - P is singular (customers never leave)"),
+            )
+        outcomes[transient] += 1
+    assert min(outcomes.values()) >= 500, outcomes
 
 
 def test_two_class_feedback_visits():
@@ -304,15 +372,33 @@ def test_identities_on_random_specs():
             assert derived.reflection == reflection_matrix(relabeled)
 
 
+# a K = 24 reentrant line: reentrant_spec(*LINE_24)
+K_24 = 24
+LINE_24 = (
+    [1 + k % 4 for k in range(K_24)],
+    [Fraction(1 + k % 3, 7) for k in range(K_24)],
+    Fraction(1, 5),
+    "fbfs",
+)
+
+
+def _count_inverses(monkeypatch, size):
+    """Patch RatMatrix.inverse to record every size x size matrix it inverts."""
+    inverted = []
+    inverse = RatMatrix.inverse
+
+    def counted_inverse(self):
+        if self.rows == size:
+            inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(RatMatrix, "inverse", counted_inverse)
+    return inverted
+
+
 def test_derive_builds_each_matrix_once(monkeypatch):
-    K = 24
-    spec = reentrant_spec(
-        [1 + k % 4 for k in range(K)],
-        [Fraction(1 + k % 3, 7) for k in range(K)],
-        Fraction(1, 5),
-        "fbfs",
-    )
-    calls = {"build_A": 0, "build_B": 0, "inverse": 0}
+    spec = reentrant_spec(*LINE_24)
+    calls = {"build_A": 0, "build_B": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -323,20 +409,26 @@ def test_derive_builds_each_matrix_once(monkeypatch):
 
     monkeypatch.setattr(network, "build_A", counted("build_A", network.build_A))
     monkeypatch.setattr(network, "build_B", counted("build_B", network.build_B))
-    inverse = RatMatrix.inverse
-
-    def counted_inverse(self):
-        if self.rows == K:
-            calls["inverse"] += 1
-        return inverse(self)
-
-    monkeypatch.setattr(RatMatrix, "inverse", counted_inverse)
+    inverses = _count_inverses(monkeypatch, K_24)
     derived = derive_matrices(spec)
     assert derived.reflection is not None
     assert calls["build_A"] == 1
     assert calls["build_B"] == 1
-    # the one K x K inverse validates the routing and is reused as W
-    assert calls["inverse"] == 1
+    # the one K x K inverse is W; validation inverts nothing
+    assert len(inverses) == 1
+
+
+def test_validation_inverts_nothing(monkeypatch, tmp_path):
+    inverses = _count_inverses(monkeypatch, K_24)
+    spec = reentrant_spec(*LINE_24)
+    document = spec_to_json_dict(spec)
+    assert spec_from_json_dict(document) == spec
+    assert inverses == []
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(document))
+    assert main(["analyze", str(path), "--json"]) == 0
+    # derive_matrices builds W, and that is the only K x K inverse
+    assert len(inverses) == 1
 
 
 def test_reentrant_workload_matches_partial_sums():
@@ -429,6 +521,10 @@ def test_reentrant_route_must_cover_stations():
         reentrant_spec([], [], Fraction(1), "fbfs")
     with pytest.raises(SpecValidationError):
         reentrant_spec([1, 2], [1], Fraction(1), "fbfs")
+    # a station index far above the route length is refused without a
+    # scan of every station up to it
+    with pytest.raises(SpecValidationError, match="route of 1 visits cannot cover"):
+        reentrant_spec([10**5], [1], Fraction(1), "fbfs")
 
 
 def test_single_class_route():

@@ -48,6 +48,12 @@ def test_parse_rejects_malformed(bad):
         parse_rational(bad)
 
 
+def test_parse_rejects_literal_beyond_int_conversion_limit():
+    # int() refuses strings of more than sys.get_int_max_str_digits() digits
+    with pytest.raises(RationalParseError, match="digits"):
+        parse_rational("1" * 5000)
+
+
 def test_as_rational_rejects_floats_and_bools():
     with pytest.raises(RationalParseError):
         as_rational(0.5)

@@ -97,7 +97,19 @@ def test_parse_variable_key_canonicalizes_aliases():
 
 
 def test_parse_variable_key_rejects_malformed():
-    for bad in ["x{0}", "x{4}", "y{1}", "x{1,1}", "x{1}^(0)", "x{1}^(5)", "x(1)"]:
+    long_index = "9" * 5000  # more digits than int() converts
+    for bad in [
+        "x{0}",
+        "x{4}",
+        "y{1}",
+        "x{1,1}",
+        "x{1,,2}",
+        "x{1}^(0)",
+        "x{1}^(5)",
+        "x(1)",
+        f"x{{{long_index}}}",
+        f"x{{1}}^({long_index})",
+    ]:
         with pytest.raises(RationalParseError):
             parse_variable_key(bad, 3)
 
