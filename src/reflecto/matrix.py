@@ -2,9 +2,12 @@
 
 Determinants use fraction-free (Bareiss) elimination on a denominator-cleared
 integer copy, which keeps intermediate entries the size of minors instead of
-letting products of fractions blow up.  Inverses use exact Gauss-Jordan
-elimination directly on ``Fraction`` entries.  Pivoting is always
-"first nonzero row", so results are deterministic.
+letting products of fractions blow up.  ``det`` serves single determinants
+(the reflection matrix, the leading minors of the positive-definiteness
+test); the P-matrix test in ``classify`` runs the same recurrence once over
+the whole subset tree instead of one ``det`` per principal minor.  Inverses
+use exact Gauss-Jordan elimination directly on ``Fraction`` entries.
+Pivoting is always "first nonzero row", so results are deterministic.
 
 Index conventions: raw entry access is 0-based (``at``), while index *sets*
 naming rows/columns of principal submatrices are 1-based throughout the

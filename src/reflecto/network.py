@@ -110,6 +110,7 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     if P.rows != K or P.cols != K:
         issues.append(("routing", f"routing matrix must be {K}x{K}"))
     else:
+        routing_issues = len(issues)
         for i in range(K):
             if any(P.at(i, j) < 0 for j in range(K)):
                 issues.append(("routing", f"row {i + 1} has a negative entry"))
@@ -123,8 +124,10 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
         # at most 1 that holds exactly when every class reaches a class whose
         # row sums below 1 along positive routing entries; otherwise the
         # classes that reach none form a closed set, rho(P) = 1 and I - P'
-        # is singular.  Decided by reachability, without inverting I - P'.
-        if not issues:
+        # is singular.  Decided by reachability, without inverting I - P',
+        # whenever the routing passed the checks above, so the message comes
+        # with any other violation.
+        if len(issues) == routing_issues:
             leaving = [i for i in range(K) if sum(P.row(i)) < 1]
             reached = set(leaving)
             while leaving:

@@ -19,7 +19,7 @@ Rational = Fraction
 
 RationalLike = Union[Rational, int, str]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Rational:

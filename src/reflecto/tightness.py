@@ -450,7 +450,7 @@ class ProofMethod(Enum):
     M_MATRIX = "m_matrix"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TightMatrixDecision:
     status: DecisionStatus
     method: Optional[ProofMethod] = None
@@ -539,7 +539,7 @@ def decide_tight_matrix(
 # witness tables (the external serialization format)
 # --------------------------------------------------------------------------
 
-_KEY_RE = re.compile(r"^x\{(?P<body>[0-9,]*)\}(?:\^\((?P<j>\d+)\))?$")
+_KEY_RE = re.compile(r"^x\{(?P<body>[0-9,]*)\}(?:\^\((?P<j>[0-9]+)\))?$")
 
 
 def parse_variable_key(key: str, d: int) -> VarIndex:

@@ -44,6 +44,35 @@ def random_m_matrix(rng: random.Random, d: int) -> RatMatrix:
     return RatMatrix(rows)
 
 
+def random_p_not_m_matrix(rng: random.Random, d: int) -> RatMatrix:
+    """Strictly diagonally dominant with mixed-sign off-diagonal entries.
+
+    Dominance makes it a P-matrix; for d >= 2 entry (1, 2) is positive, so it
+    is not an M-matrix.
+    """
+    rows = [
+        [Fraction(0) if i == j else random_signed_rational(rng) for j in range(d)]
+        for i in range(d)
+    ]
+    if d >= 2:
+        rows[0][1] = abs(rows[0][1])
+    for i in range(d):
+        rows[i][i] = sum(abs(v) for v in rows[i]) + random_rational(rng)
+    return RatMatrix(rows)
+
+
+def random_staircase_matrix(rng: random.Random, d: int) -> RatMatrix:
+    """Diagonally dominant staircase: negative first subdiagonal, zeros below it."""
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        if i >= 1:
+            rows[i][i - 1] = -random_rational(rng)
+        for j in range(i + 1, d):
+            rows[i][j] = random_signed_rational(rng)
+        rows[i][i] = sum(abs(v) for v in rows[i]) + random_rational(rng)
+    return RatMatrix(rows)
+
+
 def random_station_assignment(rng: random.Random, d: int, K: int) -> list[int]:
     assignment = list(range(1, d + 1)) + [rng.randint(1, d) for _ in range(K - d)]
     rng.shuffle(assignment)

@@ -1,6 +1,8 @@
 """Matrix class membership and the two-by-two / staircase sign tests."""
 
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -21,7 +23,13 @@ from reflecto import (
     subsets_lex,
 )
 
-from _generators import random_matrix
+from _generators import (
+    random_m_matrix,
+    random_matrix,
+    random_p_not_m_matrix,
+    random_signed_rational,
+    random_staircase_matrix,
+)
 
 REFLECTION = RatMatrix([[1, 0, 0], [-3, 1, 0], [3, -2, 1]])
 LBFS_REFLECTION = RatMatrix(
@@ -94,6 +102,76 @@ def test_p_matrix_lbfs_minors():
     }
     ok, _ = is_p_matrix(LBFS_REFLECTION)
     assert ok
+
+
+def _per_subset_p_test(matrix):
+    """Reference: every principal minor from its own determinant, in lex order."""
+    for subset in subsets_lex(matrix.rows):
+        if matrix.principal_submatrix(subset).det() <= 0:
+            return False, subset
+    return True, None
+
+
+def _rank_deficient(rng, d):
+    """The last row is a combination of two earlier rows; [[0]] when d = 1."""
+    if d == 1:
+        return RatMatrix([[0]])
+    rows = random_matrix(rng, d).row_lists()
+    i, j = rng.randrange(d - 1), rng.randrange(d - 1)
+    c = random_signed_rational(rng)
+    rows[-1] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return RatMatrix(rows)
+
+
+def _shifted_m_matrix(rng, d):
+    """M - tI with 0 < t < min diagonal: a minor fails at depth >= 2, if any."""
+    M = random_m_matrix(rng, d)
+    t = min(M.at(i, i) for i in range(d)) * Fraction(rng.randint(1, 16), 17)
+    return M - RatMatrix.identity(d).scale(t)
+
+
+def test_p_matrix_matches_per_subset_determinants():
+    rng = random.Random(10)
+    # ones on the diagonal and -1/(d-1) elsewhere: the k x k principal minors
+    # are (1 + a)^(k-1) (1 - (k-1) a) with a = 1/(d-1), positive for k < d
+    # and zero for k = d, so the first failure is the full index set
+    deep = [
+        RatMatrix([[1 if i == j else Fraction(-1, d - 1) for j in range(d)] for i in range(d)])
+        for d in range(2, 8)
+    ]
+    for M in deep:
+        assert is_p_matrix(M) == (False, tuple(range(1, M.rows + 1)))
+    families = (
+        random_m_matrix,
+        random_p_not_m_matrix,
+        random_staircase_matrix,
+        lambda rng, d: random_matrix(rng, d, zero_chance=rng.random() * 0.6),
+        _rank_deficient,
+        _shifted_m_matrix,
+    )
+    matrices = deep + [families[i % 6](rng, 1 + i % 7) for i in range(2000)]
+    failures = Counter()
+    for M in matrices:
+        expected = _per_subset_p_test(M)
+        assert is_p_matrix(M) == expected
+        if not expected[0]:
+            failures[len(expected[1])] += 1
+    assert sum(failures.values()) >= 500
+    assert max(failures) == 7
+
+
+def test_p_matrix_computes_no_determinant(monkeypatch):
+    calls = Counter()
+    for name in ("det", "principal_submatrix"):
+        original = getattr(RatMatrix, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(RatMatrix, name, counted)
+    assert is_p_matrix(random_m_matrix(random.Random(8), 8)) == (True, None)
+    assert calls["det"] == 0 and calls["principal_submatrix"] == 0
 
 
 def test_m_matrix_examples():
@@ -220,3 +298,6 @@ def test_class_report_for_reflection_matrix():
     assert report.is_p
     assert not report.is_m
     assert report.failing_subset is None
+    # slotted: no per-instance __dict__; equality and replace() work as before
+    assert not hasattr(report, "__dict__")
+    assert replace(report) == report and replace(report, is_m=True).is_m

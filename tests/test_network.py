@@ -173,6 +173,18 @@ def test_validation_rejects_identity_routing():
     assert any("singular" in msg for _, msg in report.issues)
 
 
+def test_validation_reports_singular_routing_alongside_other_issues():
+    spec = replace(
+        _base_spec(),
+        routing=RatMatrix([[0, 1], [1, 0]]),
+        service_means=(Fraction(0), Fraction(1)),
+    )
+    assert validate_spec(spec).issues == (
+        ("service_means", "mean service times must be positive"),
+        ("routing", "I - P is singular (customers never leave)"),
+    )
+
+
 def test_validation_rejects_empty_station():
     spec = replace(_base_spec(), station_count=2)
     report = validate_spec(spec)

@@ -41,7 +41,8 @@ def test_round_trip_is_idempotent():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "1.5", "1e3", "a", "1/ 2", "+2", "2/-3", "1/0", "--3", "3 / 4", "nan"],
+    # "٣/٤" is 3/4 in Arabic-Indic digits, which \d and Fraction() accept
+    ["", "1.5", "1e3", "a", "1/ 2", "+2", "2/-3", "1/0", "--3", "3 / 4", "nan", "٣/٤"],
 )
 def test_parse_rejects_malformed(bad):
     with pytest.raises(RationalParseError):

@@ -109,6 +109,7 @@ def test_parse_variable_key_rejects_malformed():
         "x(1)",
         f"x{{{long_index}}}",
         f"x{{1}}^({long_index})",
+        "x{1}^(٢)",  # a non-ASCII digit two
     ]:
         with pytest.raises(RationalParseError):
             parse_variable_key(bad, 3)
@@ -451,6 +452,7 @@ def test_decide_m_matrix_route():
     decision = decide_tight_matrix(R)
     assert decision.status is DecisionStatus.TIGHT_PROVEN
     assert decision.method is ProofMethod.M_MATRIX
+    assert not hasattr(decision, "__dict__")  # slotted
 
 
 def test_decide_nonnegative_two_by_two_produces_witness():
