@@ -16,7 +16,8 @@ tuples, and the first failing subset is reported, so results are deterministic
 regardless of any internal evaluation order.  The P-test visits the subsets in
 that order with one fraction-free elimination step per subset: it never forms
 a principal submatrix or calls ``RatMatrix.det``, so all 2^d - 1 minors cost
-O(d^2) integer operations each (see ``is_p_matrix``).
+O(d^2) integer operations each (see ``is_p_matrix``).  Positive definiteness
+is the P-test on the symmetric part, so no test here computes a determinant.
 """
 
 from __future__ import annotations
@@ -139,17 +140,15 @@ def is_m_matrix(matrix: RatMatrix) -> bool:
 
 
 def is_positive_definite(matrix: RatMatrix) -> bool:
-    """x'Mx > 0 for all nonzero real x, via Sylvester on the symmetric part.
+    """x'Mx > 0 for all nonzero real x, decided by the P-test on M + M'.
 
-    x'Mx equals x'((M + M')/2)x, so definiteness of a nonsymmetric matrix is
-    exactly definiteness of its symmetric part.
+    A symmetric matrix is positive definite exactly when every principal
+    minor is positive (Horn and Johnson, Matrix Analysis, Thm 7.2.5), and
+    x'Mx = x'(M + M')x / 2.  The walk visits the leading minors first, so an
+    indefinite matrix stops at the first nonpositive one, as in Sylvester's
+    criterion.  Like every subset test it refuses d > DEFAULT_DIMENSION_CAP.
     """
-    d = _require_square(matrix)
-    symmetric = (matrix + matrix.transpose()).scale(Fraction(1, 2))
-    for k in range(1, d + 1):
-        if symmetric.principal_submatrix(range(1, k + 1)).det() <= 0:
-            return False
-    return True
+    return is_p_matrix(matrix + matrix.transpose())[0]
 
 
 class TwoByTwoCase(Enum):

@@ -17,6 +17,7 @@ format.  ``reentrant`` always prints its network file as JSON.
 Classification refuses d above ``DEFAULT_DIMENSION_CAP`` (12) and the
 tightness LP refuses d above ``LP_DIMENSION_CAP`` (7), both with exit code 1.
 ``--samples`` outside 0..``MAX_SAMPLES`` (1000) is a usage error, exit code 1.
+``--seed``, ``--samples`` and ``--route`` take ASCII digits only, or exit 1.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -63,10 +65,25 @@ from .tightness import (
 MAX_SAMPLES = 1000
 
 
+def _ascii_int(text: str, pattern: str = "-?[0-9]+") -> int:
+    """int() of ASCII digits only; int() alone also reads "1_0" and any Unicode digit."""
+    if not re.fullmatch(pattern, text.strip()):
+        raise ValueError(text)
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: an integer in ASCII digits."""
+    try:
+        return _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+
+
 def _sample_count(text: str) -> int:
     """argparse type of ``--samples``: an integer in 0..MAX_SAMPLES."""
     try:
-        count = int(text)
+        count = _ascii_int(text, "[0-9]+")
     except ValueError:
         count = -1
     if not 0 <= count <= MAX_SAMPLES:
@@ -279,7 +296,7 @@ def _cmd_tight(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_reentrant(args: argparse.Namespace) -> tuple[Optional[dict], int]:
     try:
-        route = [int(v) for v in args.route.split(",") if v.strip() != ""]
+        route = [_ascii_int(v) for v in args.route.split(",") if v.strip() != ""]
     except ValueError:
         raise ReflectoError(f"route must list integer stations, got {args.route!r}") from None
     means = parse_rational_csv(args.means)
@@ -341,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--json", action="store_true")
     analyze.add_argument("--b", default=None, help="comma-separated positive rationals")
     analyze.add_argument("--samples", type=_sample_count, default=20)
-    analyze.add_argument("--seed", type=int, default=0)
+    analyze.add_argument("--seed", type=_seed, default=0)
     analyze.set_defaults(func=_cmd_analyze)
 
     classify = sub.add_parser("classify", help="matrix class membership")
@@ -353,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tight.add_argument("matrix")
     tight.add_argument("--b", default=None)
     tight.add_argument("--samples", type=_sample_count, default=20)
-    tight.add_argument("--seed", type=int, default=0)
+    tight.add_argument("--seed", type=_seed, default=0)
     tight.add_argument("--json", action="store_true")
     tight.set_defaults(func=_cmd_tight)
 

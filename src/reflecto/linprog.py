@@ -69,15 +69,12 @@ class LpOutcome:
     """Solver result.
 
     For OPTIMAL, ``solution`` is the optimal point and ``optimum`` its value.
-    For UNBOUNDED, ``solution`` is a feasible point and ``ray`` an improving
-    direction, so ``solution + t * ray`` is feasible for every t >= 0 with the
-    objective decreasing strictly in t.
+    INFEASIBLE and UNBOUNDED carry neither: the status is the whole answer.
     """
 
     status: LpStatus
     optimum: Optional[Rational] = None
     solution: Optional[tuple[Rational, ...]] = None
-    ray: Optional[tuple[Rational, ...]] = None
 
 
 def constraint(
@@ -255,21 +252,21 @@ class _Tableau:
                 best_den = a
         return best_row
 
-    def run_phase(self, cost_index: int, stop_at_zero: bool) -> Optional[int]:
-        """Pivot until optimal; returns an entering column on unboundedness."""
+    def run_phase(self, cost_index: int, stop_at_zero: bool) -> bool:
+        """Pivot until optimal; False when a column can improve without limit."""
         degenerate_streak = 0
         pivots = 0
         while True:
             value = self.T[cost_index].get(self.rhs_col, 0)
             if stop_at_zero and value == 0:
-                return None
+                return True
             bland = degenerate_streak >= _DEGENERATE_FALLBACK
             col = self._entering(self.T[cost_index], bland)
             if col is None:
-                return None
+                return True
             row = self._leaving(col)
             if row is None:
-                return col
+                return False
             before = (value, self.den[cost_index])
             self._pivot(row, col)
             after = (self.T[cost_index].get(self.rhs_col, 0), self.den[cost_index])
@@ -323,16 +320,6 @@ class _Tableau:
                 z[var] = Fraction(self.T[i].get(self.rhs_col, 0), self.den[i])
         return z
 
-    def z_ray(self, col: int) -> list[Fraction]:
-        dz = [Fraction(0)] * self.nz
-        if col < self.nz:
-            dz[col] = Fraction(1)
-        for i in range(self.m):
-            var = self.basis[i]
-            if var < self.nz:
-                dz[var] = Fraction(-self.T[i].get(col, 0), self.den[i])
-        return dz
-
     def objective_value(self) -> Fraction:
         return Fraction(
             -self.T[self.cost_row].get(self.rhs_col, 0),
@@ -348,7 +335,7 @@ class _Tableau:
 def lp_solve(program: LinearProgram) -> LpOutcome:
     """Minimise objective . x over the rows and x >= 0, exactly.
 
-    Statuses Infeasible/Unbounded are outcomes, not errors.
+    Statuses Infeasible/Unbounded are outcomes, not errors, and carry no point.
     """
     n = len(program.objective)
     for row in program.constraints:
@@ -385,23 +372,14 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
     tab = _Tableau(n, rows, relations, rhs, obj_cols)
 
     if tab.phase1_row is not None:
-        unbounded = tab.run_phase(tab.phase1_row, stop_at_zero=True)
-        if unbounded is not None:
+        if not tab.run_phase(tab.phase1_row, stop_at_zero=True):
             raise InternalInconsistencyError("phase one cannot be unbounded")
         if tab.T[tab.phase1_row].get(tab.rhs_col, 0) != 0:
             return LpOutcome(LpStatus.INFEASIBLE)
         tab.drop_artificials()
 
-    unbounded_col = tab.run_phase(tab.cost_row, stop_at_zero=False)
-
-    if unbounded_col is not None:
-        point = tuple(tab.z_solution())
-        ray = tuple(tab.z_ray(unbounded_col))
-        _check_point(program, point)
-        _check_point(program, tuple(p + r for p, r in zip(point, ray)))
-        if _dot(program.objective, ray) >= 0:
-            raise InternalInconsistencyError("unbounded ray does not improve the objective")
-        return LpOutcome(LpStatus.UNBOUNDED, solution=point, ray=ray)
+    if not tab.run_phase(tab.cost_row, stop_at_zero=False):
+        return LpOutcome(LpStatus.UNBOUNDED)
 
     solution = tuple(tab.z_solution())
     optimum = tab.objective_value()

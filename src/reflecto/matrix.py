@@ -1,13 +1,12 @@
 """Dense matrices over exact rationals.
 
-Determinants use fraction-free (Bareiss) elimination on a denominator-cleared
-integer copy, which keeps intermediate entries the size of minors instead of
-letting products of fractions blow up.  ``det`` serves single determinants
-(the reflection matrix, the leading minors of the positive-definiteness
-test); the P-matrix test in ``classify`` runs the same recurrence once over
-the whole subset tree instead of one ``det`` per principal minor.  Inverses
-use exact Gauss-Jordan elimination directly on ``Fraction`` entries.
-Pivoting is always "first nonzero row", so results are deterministic.
+No package path computes a determinant: the signs of minors come from the
+P-matrix test in ``classify``, which runs the fraction-free (Bareiss)
+recurrence once over the whole subset tree, and singularity from the
+``SingularMatrixError`` of ``inverse``.  ``det`` stays for the tests and the
+benchmark tracer.  Inverses use exact Gauss-Jordan elimination directly on
+``Fraction`` entries.  Pivoting is always "first nonzero row", so results are
+deterministic.
 
 Index conventions: raw entry access is 0-based (``at``), while index *sets*
 naming rows/columns of principal submatrices are 1-based throughout the
@@ -61,10 +60,6 @@ class RatMatrix:
         return RatMatrix(
             [[vals[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         )
-
-    @staticmethod
-    def column(values: Sequence[RationalLike]) -> "RatMatrix":
-        return RatMatrix([[v] for v in values])
 
     # -- basic access ------------------------------------------------------
 
@@ -155,6 +150,9 @@ class RatMatrix:
         Rows are first cleared to integers (tracking the total scale), then the
         Bareiss recurrence keeps every intermediate entry equal to a minor of
         the integer matrix, so nothing grows beyond determinant size.
+
+        No package path calls it: the tests use it as their reference, and
+        ``perfbench/tracer.py`` wraps it as a span.
         """
         if not self.is_square:
             raise MatrixShapeError("determinant requires a square matrix")

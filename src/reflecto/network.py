@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 from .errors import (
     InternalInconsistencyError,
     QSingularError,
+    SingularMatrixError,
     SpecValidationError,
 )
 from .matrix import RatMatrix
@@ -297,42 +298,48 @@ def build_Q(spec: NetworkSpec, *, W: Optional[RatMatrix] = None) -> RatMatrix:
     return RatMatrix(rows)
 
 
+def _inverse_or_none(matrix: RatMatrix) -> Optional[RatMatrix]:
+    try:
+        return matrix.inverse()
+    except SingularMatrixError:
+        return None
+
+
 def reflection_matrix(
     spec: NetworkSpec, *, Q: Optional[RatMatrix] = None, A: Optional[RatMatrix] = None
 ) -> RatMatrix:
     """R = Q^{-1}, cross-checked against the block-elimination route; pass
     ``Q=build_Q(spec)`` and ``A=build_A(spec)`` to reuse them.
 
-    Raises QSingularError when Q (equivalently the high-priority block of A)
-    is singular, in which case no reflection matrix exists.
+    Singularity of Q and of the high-priority block A_H of A is read off
+    the two inverses, which must agree.  Raises QSingularError when Q is
+    singular, in which case no reflection matrix exists.
     """
     Q = build_Q(spec) if Q is None else Q
     A = build_A(spec) if A is None else A
     sets = priority_sets(spec)
     low = sorted(sets.low_classes)
     high = sorted(sets.high_classes)
-    A_H = A.principal_submatrix(high) if high else None
+    R = _inverse_or_none(Q)
+    A_H_inverse = _inverse_or_none(A.principal_submatrix(high)) if high else None
 
     # Q is singular exactly when A_H is; with no high-priority classes, Q is
     # A^{-1} up to a permutation and never singular.
-    q_singular = Q.det() == 0
-    if q_singular != (A_H is not None and A_H.det() == 0):
+    if (R is None) != (bool(high) and A_H_inverse is None):
         raise InternalInconsistencyError(
             "workload matrix and high-priority block of A disagree on singularity"
         )
-    if q_singular:
+    if R is None:
         raise QSingularError(
             "the station workload matrix is singular; no reflection matrix exists"
         )
 
-    R = Q.inverse()
-
     # Independent route: eliminate the high-priority block of A and compare.
-    if A_H is not None:
+    if high:
         A_L = A.principal_submatrix(low)
         A_LH = RatMatrix([[A.at(i - 1, j - 1) for j in high] for i in low])
         A_HL = RatMatrix([[A.at(i - 1, j - 1) for j in low] for i in high])
-        schur = A_L - A_LH @ A_H.inverse() @ A_HL
+        schur = A_L - A_LH @ A_H_inverse @ A_HL
     else:
         schur = A
     position = {cls: idx for idx, cls in enumerate(low)}

@@ -186,6 +186,77 @@ def test_positive_definite_examples():
     assert is_positive_definite(RatMatrix([[2, -1], [-1, 2]]))
 
 
+def _leading_minors_positive(matrix):
+    """Reference: Sylvester's criterion on (M + M')/2, one det per leading minor."""
+    symmetric = (matrix + matrix.transpose()).scale(Fraction(1, 2))
+    return all(
+        symmetric.principal_submatrix(range(1, k + 1)).det() > 0
+        for k in range(1, matrix.rows + 1)
+    )
+
+
+def _random_skew(rng, d):
+    """A random skew-symmetric matrix: it leaves the symmetric part unchanged."""
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            rows[i][j] = random_signed_rational(rng)
+            rows[j][i] = -rows[i][j]
+    return RatMatrix(rows)
+
+
+def _gram(rng, rank, d):
+    """B'B for a random rank x d matrix B: semidefinite, singular when rank < d."""
+    B = random_matrix(rng, max(rank, d), zero_chance=0.3)
+    B = RatMatrix(B.row_lists()[:rank])
+    return B.transpose() @ B
+
+
+def _semidefinite_singular(rng, d):
+    """Symmetric part B'B with rank(B) < d, plus a skew part; [[0]] when d = 1."""
+    if d == 1:
+        return RatMatrix([[0]])
+    return _gram(rng, rng.randint(1, d - 1), d) + _random_skew(rng, d)
+
+
+def _last_leading_minor_fails(rng, d):
+    """Symmetric part S - t e_d e_d' with S definite: only the d-th leading
+    minor changes, and t is chosen so that it is zero or negative."""
+    S = _gram(rng, d, d) + RatMatrix.identity(d)
+    full = S.det()
+    inner = S.principal_submatrix(range(1, d)).det() if d > 1 else Fraction(1)
+    t = full / inner * (1 + Fraction(rng.randint(0, 3), 4))
+    corner = RatMatrix([[t if i == j == d - 1 else 0 for j in range(d)] for i in range(d)])
+    return S - corner + _random_skew(rng, d)
+
+
+def test_positive_definite_matches_leading_minors():
+    rng = random.Random(12)
+    families = (
+        random_m_matrix,
+        random_p_not_m_matrix,
+        random_staircase_matrix,
+        lambda rng, d: random_matrix(rng, d, zero_chance=rng.random() * 0.6),
+        _semidefinite_singular,
+        _last_leading_minor_fails,
+    )
+    outcomes = Counter()
+    for i in range(2400):
+        family = i % len(families)
+        M = families[family](rng, 1 + (i // len(families)) % 8)
+        expected = _leading_minors_positive(M)
+        assert is_positive_definite(M) == expected
+        if family == 5 and M.rows > 1:  # every leading minor but the d-th is positive
+            assert _leading_minors_positive(M.principal_submatrix(range(1, M.rows)))
+        outcomes[family, expected] += 1
+    # semidefinite-but-singular and last-minor matrices are never definite
+    assert outcomes[4, True] == outcomes[5, True] == 0
+    assert outcomes[4, False] == outcomes[5, False] == 400
+    # the generator families and random entries reach both answers
+    assert sum(outcomes[f, True] for f in range(4)) >= 300
+    assert sum(outcomes[f, False] for f in range(4)) >= 300
+
+
 def test_dimension_cap():
     # checked before any subset is enumerated, so a 13x13 matrix stays cheap
     big = RatMatrix.identity(13)
@@ -193,6 +264,7 @@ def test_dimension_cap():
         is_completely_s,
         is_p_matrix,
         is_m_matrix,
+        is_positive_definite,
         has_staircase_sign_pattern,
         classify_matrix,
     ):

@@ -323,6 +323,29 @@ def test_usage_errors_exit_one(matrix_file, tmp_path, capsys, argv):
     assert captured.err.startswith("error: reflecto")
 
 
+REENTRANT_TAIL = ["--arrival", "1/3", "--discipline", "fbfs"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tight", "MATRIX", "--seed", "1_0"], "argument --seed"),
+        # ARABIC-INDIC DIGIT ONE and TWO, which int() reads as 1 and 2
+        (["tight", "MATRIX", "--samples", "\u0661"], "argument --samples"),
+        (["reentrant", "--route", "1,\u0662,2", "--means", "1,1,1", *REENTRANT_TAIL], "route must"),
+        # int() reads "1_0" as station 10
+        (["reentrant", "--route", "1,1_0", "--means", "1,1", *REENTRANT_TAIL], "route must"),
+    ],
+    ids=["seed-underscore", "samples-unicode-digit", "route-unicode-digit", "route-underscore"],
+)
+def test_command_line_integers_take_ascii_digits_only(matrix_file, capsys, argv, message):
+    assert main([matrix_file if arg == "MATRIX" else arg for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["tight", "--help"]])
 def test_help_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as info:

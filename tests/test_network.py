@@ -10,6 +10,7 @@ import pytest
 
 from reflecto import network
 from reflecto import (
+    InternalInconsistencyError,
     NetworkSpec,
     QSingularError,
     RatMatrix,
@@ -21,6 +22,7 @@ from reflecto import (
     build_F,
     build_Q,
     build_W,
+    classify_matrix,
     decide_tight_matrix,
     derive_matrices,
     has_staircase_sign_pattern,
@@ -36,7 +38,7 @@ from reflecto import (
 )
 from reflecto.cli import main
 
-from _generators import random_reentrant_line, random_spec
+from _generators import random_m_matrix, random_reentrant_line, random_spec
 
 ROUTE = [1, 1, 2, 3, 2, 3, 3]
 MEANS = [2, 1, 2, 1, 1, 1, 1]
@@ -464,19 +466,35 @@ def test_reentrant_workload_matches_partial_sums():
                     assert Q.at(i - 1, j - 1) == expected
 
 
+def test_no_package_path_computes_a_determinant(monkeypatch):
+    calls = []
+    det = RatMatrix.det
+
+    def counted_det(self):
+        calls.append(self.rows)
+        return det(self)
+
+    monkeypatch.setattr(RatMatrix, "det", counted_det)
+    assert derive_matrices(reentrant_spec(*LINE_24)).reflection is not None
+    report = classify_matrix(random_m_matrix(random.Random(8), 8))
+    assert report.is_m and report.is_positive_definite
+    assert calls == []
+
+
+# two stations, cross-routing tuned so the two workload columns coincide
+SINGULAR_Q_SPEC = NetworkSpec(
+    class_count=4,
+    station_count=2,
+    station_of_class=(1, 1, 2, 2),
+    routing=RatMatrix([[0, 0, 0, 1], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0]]),
+    service_means=(Fraction(1), Fraction(2), Fraction(1), Fraction(1)),
+    arrival_rates=(Fraction(1, 10), Fraction(0), Fraction(0), Fraction(0)),
+    priority=(4, 1, 3, 2),
+)
+
+
 def test_singular_workload_matrix_raises_and_matches_block_test():
-    # two stations, cross-routing tuned so the two workload columns coincide
-    spec = NetworkSpec(
-        class_count=4,
-        station_count=2,
-        station_of_class=(1, 1, 2, 2),
-        routing=RatMatrix(
-            [[0, 0, 0, 1], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0]]
-        ),
-        service_means=(Fraction(1), Fraction(2), Fraction(1), Fraction(1)),
-        arrival_rates=(Fraction(1, 10), Fraction(0), Fraction(0), Fraction(0)),
-        priority=(4, 1, 3, 2),
-    )
+    spec = SINGULAR_Q_SPEC
     assert validate_spec(spec).valid
     assert build_Q(spec).det() == 0
     with pytest.raises(QSingularError):
@@ -487,6 +505,21 @@ def test_singular_workload_matrix_raises_and_matches_block_test():
     assert A.principal_submatrix(sorted(sets.high_classes)).det() == 0
     derived = derive_matrices(spec)
     assert derived.reflection is None
+
+
+@pytest.mark.parametrize(
+    "spec, Q",
+    [
+        (SINGULAR_Q_SPEC, RatMatrix.identity(2)),
+        (reentrant_spec(*LINE_24), RatMatrix.zeros(4, 4)),
+    ],
+    ids=["regular-Q-singular-block", "singular-Q-regular-block"],
+)
+def test_singularity_disagreement_is_inconsistent(spec, Q):
+    # A_H is singular exactly when Q is, so a Q passed in that answers the
+    # other way must be caught
+    with pytest.raises(InternalInconsistencyError, match="disagree on singularity"):
+        reflection_matrix(spec, Q=Q, A=build_A(spec))
 
 
 def test_two_station_positive_determinant_gives_m_matrix():
