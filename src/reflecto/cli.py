@@ -14,10 +14,12 @@ is, byte-deterministic for fixed inputs and seed; otherwise ``_render`` lays
 the same document out as indented text for reading, which is not a stable
 format.  ``reentrant`` always prints its network file as JSON.
 
-Classification refuses d above ``DEFAULT_DIMENSION_CAP`` (12) and the
-tightness LP refuses d above ``LP_DIMENSION_CAP`` (7), both with exit code 1.
+Classification and witness verification refuse d above
+``DEFAULT_DIMENSION_CAP`` (12) and the tightness LP refuses d above
+``LP_DIMENSION_CAP`` (7), all with exit code 1.
 ``--samples`` outside 0..``MAX_SAMPLES`` (1000) is a usage error, exit code 1.
 ``--seed``, ``--samples`` and ``--route`` take ASCII digits only, or exit 1.
+A comma list (``--b``, ``--route``, ``--means``) with an empty entry exits 1.
 """
 
 from __future__ import annotations
@@ -296,7 +298,7 @@ def _cmd_tight(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_reentrant(args: argparse.Namespace) -> tuple[Optional[dict], int]:
     try:
-        route = [_ascii_int(v) for v in args.route.split(",") if v.strip() != ""]
+        route = [_ascii_int(v) for v in args.route.split(",")]
     except ValueError:
         raise ReflectoError(f"route must list integer stations, got {args.route!r}") from None
     means = parse_rational_csv(args.means)

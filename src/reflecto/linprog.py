@@ -121,7 +121,7 @@ class _Tableau:
         self.nz = nz
         m = len(rows)
 
-        # Slack columns; lp_solve has rewritten every GE row as LE.
+        # Slack columns: +1 on an LE row, -1 on a GE row.
         slack_col: list[Optional[int]] = [None] * m
         ncols = nz
         for i, rel in enumerate(relations):
@@ -130,16 +130,18 @@ class _Tableau:
                 ncols += 1
         self.art_start = ncols
 
-        # Integer-scale each constraint row; the slack keeps coefficient 1.
+        # Integer-scale each constraint row, then negate it when its rhs is
+        # negative, or when it is a homogeneous GE row: its slack then has
+        # coefficient 1 and starts in the basis instead of an artificial.
         int_rows: list[tuple[dict[int, int], int]] = []
-        for coeffs, b, sc in zip(rows, rhs, slack_col):
+        for coeffs, rel, b, sc in zip(rows, relations, rhs, slack_col):
             denoms = [v.denominator for v in coeffs.values()] + [b.denominator]
             mult = lcm(*denoms)
             row = {col: int(v * mult) for col, v in coeffs.items()}
             if sc is not None:
-                row[sc] = 1
+                row[sc] = -1 if rel is Relation.GE else 1
             r = int(b * mult)
-            if r < 0:
+            if r < 0 or (r == 0 and rel is Relation.GE):
                 row = {col: -v for col, v in row.items()}
                 r = -r
             int_rows.append((row, r))
@@ -357,15 +359,8 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
             if violated:
                 return LpOutcome(LpStatus.INFEASIBLE)
             continue
-        relation = row.relation
-        if relation is Relation.GE:
-            # a.x >= r becomes -a.x <= -r; homogeneous rows then start with a
-            # feasible slack basis instead of an artificial variable.
-            cols = {c: -v for c, v in cols.items()}
-            r = -r
-            relation = Relation.LE
         rows.append(cols)
-        relations.append(relation)
+        relations.append(row.relation)
         rhs.append(r)
 
     obj_cols = {j: c for j, c in enumerate(program.objective) if c}

@@ -14,7 +14,8 @@ From these data the module derives, all in exact arithmetic:
   indicator of the classes at station s(k) serving at or above k's priority;
 * A = (I - P') M^{-1} (I - B) and its closed-form inverse F M W;
 * Q, the station workload matrix: Q[i][j] is the expected work for station i
-  generated by one customer starting in station j's lowest-priority class;
+  generated by one customer starting in station j's lowest-priority class,
+  read off A^{-1} as its block on the lowest-priority classes;
 * the reflection matrix R = Q^{-1}, cross-checked against the block
   (Schur-complement) elimination of the high-priority classes.
 
@@ -245,19 +246,17 @@ def build_F(spec: NetworkSpec) -> RatMatrix:
     return RatMatrix(rows)
 
 
-def build_A(spec: NetworkSpec, *, B: Optional[RatMatrix] = None) -> RatMatrix:
-    """A = (I - P') M^{-1} (I - B); pass ``B=build_B(spec)`` to reuse it."""
+def build_A(spec: NetworkSpec, B: RatMatrix) -> RatMatrix:
+    """A = (I - P') M^{-1} (I - B), from the step matrix B = build_B(spec)."""
     identity = RatMatrix.identity(spec.class_count)
     inverse_means = RatMatrix.diagonal([Fraction(1) / m for m in spec.service_means])
-    B = build_B(spec) if B is None else B
     return (identity - spec.routing.transpose()) @ inverse_means @ (identity - B)
 
 
-def build_A_inverse(spec: NetworkSpec, *, W: Optional[RatMatrix] = None) -> RatMatrix:
-    """Closed form A^{-1} = F M W, assembled entrywise without inverting A;
-    pass ``W=build_W(spec)`` to reuse it."""
+def build_A_inverse(spec: NetworkSpec, W: RatMatrix) -> RatMatrix:
+    """Closed form A^{-1} = F M W from the visits matrix W = build_W(spec),
+    assembled entrywise without inverting A."""
     K = spec.class_count
-    W = build_W(spec) if W is None else W
     sets = priority_sets(spec)
     means = spec.service_means
     rows = []
@@ -275,27 +274,22 @@ def build_A_inverse(spec: NetworkSpec, *, W: Optional[RatMatrix] = None) -> RatM
     return RatMatrix(rows)
 
 
-def build_Q(spec: NetworkSpec, *, W: Optional[RatMatrix] = None) -> RatMatrix:
-    """Station workload matrix Q[i][j] = sum over classes k at station i of
-    m_k * W[k][lowest(j)], using the spec's own station numbering; pass
-    ``W=build_W(spec)`` to reuse it."""
-    W = build_W(spec) if W is None else W
-    sets = priority_sets(spec)
+def build_Q(spec: NetworkSpec, A_inverse: RatMatrix) -> RatMatrix:
+    """Station workload matrix Q[i][j] = A_inverse[lowest(i)][lowest(j)],
+    using the spec's own station numbering.
+
+    Row lowest(i) of F is the indicator of station i, so this entry of
+    A^{-1} = F M W is the sum over classes k at station i of
+    m_k * W[k][lowest(j)]: Q is the low-class block of A^{-1}.
+    """
+    lowest = priority_sets(spec).lowest
     d = spec.station_count
-    means = spec.service_means
-    rows = []
-    for i in range(1, d + 1):
-        members = spec.classes_at(i)
-        rows.append(
-            [
-                sum(
-                    (means[k - 1] * W.at(k - 1, sets.lowest[j] - 1) for k in members),
-                    Fraction(0),
-                )
-                for j in range(1, d + 1)
-            ]
-        )
-    return RatMatrix(rows)
+    return RatMatrix(
+        [
+            [A_inverse.at(lowest[i] - 1, lowest[j] - 1) for j in range(1, d + 1)]
+            for i in range(1, d + 1)
+        ]
+    )
 
 
 def _inverse_or_none(matrix: RatMatrix) -> Optional[RatMatrix]:
@@ -305,26 +299,23 @@ def _inverse_or_none(matrix: RatMatrix) -> Optional[RatMatrix]:
         return None
 
 
-def reflection_matrix(
-    spec: NetworkSpec, *, Q: Optional[RatMatrix] = None, A: Optional[RatMatrix] = None
-) -> RatMatrix:
-    """R = Q^{-1}, cross-checked against the block-elimination route; pass
-    ``Q=build_Q(spec)`` and ``A=build_A(spec)`` to reuse them.
+def reflection_matrix(spec: NetworkSpec, Q: RatMatrix, A: RatMatrix) -> RatMatrix:
+    """R = Q^{-1}, cross-checked against the block-elimination route on A.
 
     Singularity of Q and of the high-priority block A_H of A is read off
     the two inverses, which must agree.  Raises QSingularError when Q is
     singular, in which case no reflection matrix exists.
     """
-    Q = build_Q(spec) if Q is None else Q
-    A = build_A(spec) if A is None else A
     sets = priority_sets(spec)
     low = sorted(sets.low_classes)
     high = sorted(sets.high_classes)
     R = _inverse_or_none(Q)
     A_H_inverse = _inverse_or_none(A.principal_submatrix(high)) if high else None
 
-    # Q is singular exactly when A_H is; with no high-priority classes, Q is
-    # A^{-1} up to a permutation and never singular.
+    # Q is the low-class block of A^{-1}, so det Q = det A_H / det A by
+    # Jacobi's complementary-minor identity: Q is singular exactly when A_H
+    # is.  With no high-priority classes, Q is A^{-1} up to a permutation
+    # and never singular.
     if (R is None) != (bool(high) and A_H_inverse is None):
         raise InternalInconsistencyError(
             "workload matrix and high-priority block of A disagree on singularity"
@@ -367,10 +358,8 @@ class TrafficReport:
     heavy_traffic: bool
 
 
-def traffic(spec: NetworkSpec, *, W: Optional[RatMatrix] = None) -> TrafficReport:
-    """Effective arrival rates alpha = W lambda and station utilizations;
-    pass ``W=build_W(spec)`` to reuse it."""
-    W = build_W(spec) if W is None else W
+def traffic(spec: NetworkSpec, W: RatMatrix) -> TrafficReport:
+    """Effective arrival rates alpha = W lambda and station utilizations."""
     alpha = W.apply(spec.arrival_rates)
     rho = []
     for i in range(1, spec.station_count + 1):
@@ -410,13 +399,13 @@ def derive_matrices(spec: NetworkSpec) -> DerivedMatrices:
     relabeled, permutation = relabel_stations(spec)
     W = build_W(relabeled)
     B = build_B(relabeled)
-    A = build_A(relabeled, B=B)
-    A_inverse = build_A_inverse(relabeled, W=W)
+    A = build_A(relabeled, B)
+    A_inverse = build_A_inverse(relabeled, W)
     if A @ A_inverse != RatMatrix.identity(spec.class_count):
         raise InternalInconsistencyError("closed-form inverse of A failed its check")
-    Q = build_Q(relabeled, W=W)
+    Q = build_Q(relabeled, A_inverse)
     try:
-        reflection = reflection_matrix(relabeled, Q=Q, A=A)
+        reflection = reflection_matrix(relabeled, Q, A)
     except QSingularError:
         reflection = None
     return DerivedMatrices(
@@ -429,7 +418,7 @@ def derive_matrices(spec: NetworkSpec) -> DerivedMatrices:
         A_inverse=A_inverse,
         Q=Q,
         reflection=reflection,
-        traffic=traffic(relabeled, W=W),
+        traffic=traffic(relabeled, W),
     )
 
 

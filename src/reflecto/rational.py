@@ -68,10 +68,10 @@ def as_rational_vector(values: Iterable[RationalLike]) -> tuple[Rational, ...]:
 
 
 def parse_rational_csv(text: str) -> tuple[Rational, ...]:
-    """Parse a comma-separated list of rational literals."""
-    items = [piece for piece in text.split(",") if piece.strip() != ""]
-    if not items:
-        raise RationalParseError(f"empty rational list: {text!r}")
+    """Parse a comma-separated list of rational literals; no entry may be empty."""
+    items = text.split(",")
+    if any(piece.strip() == "" for piece in items):
+        raise RationalParseError(f"empty entry in rational list {text!r}")
     return tuple(parse_rational(piece) for piece in items)
 
 

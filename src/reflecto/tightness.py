@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Mapping, Optional, Sequence
 
-from .classify import TwoByTwoCase, classify_matrix, classify_two_by_two
+from .classify import TwoByTwoCase, _check_cap, classify_matrix, classify_two_by_two
 from .errors import (
     DimensionCapError,
     InternalInconsistencyError,
@@ -146,6 +146,7 @@ class TightnessSystem:
 def _check_inputs(reflection: RatMatrix, b: Sequence[RationalLike]) -> tuple[Rational, ...]:
     if not reflection.is_square:
         raise MatrixShapeError("the reflection matrix must be square")
+    _check_cap(reflection.rows)
     scale = tuple(as_rational(v) for v in b)
     if len(scale) != reflection.rows:
         raise MatrixShapeError("b must have one entry per coordinate")
@@ -158,7 +159,8 @@ def build_system(reflection: RatMatrix, b: Sequence[RationalLike]) -> TightnessS
     """Assemble the balance and monotonicity rows over canonical variables.
 
     The all-ones assignment is feasible by construction; this is asserted
-    before returning.
+    before returning.  Raises DimensionCapError above DEFAULT_DIMENSION_CAP
+    before any subset is enumerated.
     """
     scale = _check_inputs(reflection, b)
     d = reflection.rows

@@ -22,6 +22,7 @@ from reflecto import (
     is_s_matrix,
     subsets_lex,
 )
+from reflecto.tightness import build_system
 
 from _generators import (
     random_m_matrix,
@@ -267,6 +268,7 @@ def test_dimension_cap():
         is_positive_definite,
         has_staircase_sign_pattern,
         classify_matrix,
+        lambda matrix: build_system(matrix, [1] * matrix.rows),
     ):
         with pytest.raises(DimensionCapError, match="cap 12"):
             check(big)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -413,6 +414,40 @@ def test_classify_refuses_matrix_above_dimension_cap(tmp_path, capsys):
     path.write_text(json.dumps({"matrix": rows}))
     assert main(["classify", str(path)]) == 1
     assert "subset-enumeration cap 12" in capsys.readouterr().err
+
+
+def test_witness_refuses_matrix_above_dimension_cap(tmp_path, capsys):
+    # refused before the system is built: building it for d = 13 takes
+    # tens of seconds and over a gigabyte
+    rows = [["2" if i == j else "-1/13" for j in range(13)] for i in range(13)]
+    path = tmp_path / "m13.json"
+    path.write_text(json.dumps({"matrix": rows}))
+    witness_path = tmp_path / "empty.json"
+    witness_path.write_text("{}")
+    started = time.perf_counter()
+    assert main(["witness", str(path), str(witness_path)]) == 1
+    assert time.perf_counter() - started < 1
+    assert "subset-enumeration cap 12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tight", "MATRIX2", "--b", "1,,2"], "'1,,2'"),
+        (["tight", "MATRIX2", "--b", "1,2,"], "'1,2,'"),
+        (["reentrant", "--route", "1,,2", "--means", "1,1", *REENTRANT_TAIL], "'1,,2'"),
+        (["reentrant", "--route", "1,2", "--means", "1,,1", *REENTRANT_TAIL], "'1,,1'"),
+    ],
+    ids=["b-inner", "b-trailing", "route-inner", "means-inner"],
+)
+def test_comma_lists_reject_empty_entries(tmp_path, capsys, argv, message):
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps({"matrix": [["2", "-1"], ["-1", "2"]]}))
+    assert main([str(path) if arg == "MATRIX2" else arg for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert message in captured.err
 
 
 def test_tight_refuses_lp_above_dimension_cap(tmp_path, capsys):

@@ -45,6 +45,22 @@ MEANS = [2, 1, 2, 1, 1, 1, 1]
 ARRIVAL = Fraction(1, 3)
 
 
+def _A(spec):
+    return build_A(spec, build_B(spec))
+
+
+def _A_inverse(spec):
+    return build_A_inverse(spec, build_W(spec))
+
+
+def _Q(spec):
+    return build_Q(spec, _A_inverse(spec))
+
+
+def _traffic(spec):
+    return traffic(spec, build_W(spec))
+
+
 @pytest.fixture
 def fbfs_spec():
     return reentrant_spec(ROUTE, MEANS, ARRIVAL, "fbfs")
@@ -110,7 +126,7 @@ def test_fbfs_workload_and_reflection(fbfs_spec):
 
 
 def test_fbfs_traffic(fbfs_spec):
-    report = traffic(fbfs_spec)
+    report = _traffic(fbfs_spec)
     assert report.alpha == (Fraction(1, 3),) * 7
     assert report.rho == (Fraction(1), Fraction(1), Fraction(1))
     assert report.heavy_traffic
@@ -118,11 +134,11 @@ def test_fbfs_traffic(fbfs_spec):
 
 def test_traffic_scales_with_arrivals(fbfs_spec):
     halved = reentrant_spec(ROUTE, MEANS, ARRIVAL / 2, "fbfs")
-    report = traffic(halved)
+    report = _traffic(halved)
     assert report.rho == (Fraction(1, 2),) * 3
     assert not report.heavy_traffic
     idle = reentrant_spec(ROUTE, MEANS, 0, "fbfs")
-    assert traffic(idle).rho == (Fraction(0),) * 3
+    assert _traffic(idle).rho == (Fraction(0),) * 3
 
 
 def test_lbfs_variant(lbfs_spec):
@@ -346,9 +362,9 @@ def test_single_class_single_station():
         arrival_rates=(Fraction(1, 4),),
         priority=(1,),
     )
-    assert build_A(spec) == RatMatrix([[Fraction(1, 2)]])
-    assert build_A_inverse(spec) == RatMatrix([[2]])
-    assert reflection_matrix(spec) == RatMatrix([[Fraction(1, 2)]])
+    assert _A(spec) == RatMatrix([[Fraction(1, 2)]])
+    assert _A_inverse(spec) == RatMatrix([[2]])
+    assert reflection_matrix(spec, _Q(spec), _A(spec)) == RatMatrix([[Fraction(1, 2)]])
 
 
 def test_identities_on_random_specs():
@@ -369,21 +385,24 @@ def test_identities_on_random_specs():
                 assert derived.A_inverse.at(
                     sets.lowest[i] - 1, sets.lowest[j] - 1
                 ) == derived.Q.at(i - 1, j - 1)
-        # derive_matrices hands each builder its inputs; the builders alone
-        # derive them again and must agree field by field
+        # derive_matrices hands each builder its inputs; the builders, fed
+        # inputs built afresh from the spec, must agree field by field
         relabeled = derived.spec
-        assert derived.W == build_W(relabeled)
+        W = build_W(relabeled)
+        A = build_A(relabeled, build_B(relabeled))
+        Q = build_Q(relabeled, build_A_inverse(relabeled, W))
+        assert derived.W == W
         assert derived.B == build_B(relabeled)
         assert derived.F == build_F(relabeled)
-        assert derived.A == build_A(relabeled)
-        assert derived.A_inverse == build_A_inverse(relabeled)
-        assert derived.Q == build_Q(relabeled)
-        assert derived.traffic == traffic(relabeled)
+        assert derived.A == A
+        assert derived.A_inverse == build_A_inverse(relabeled, W)
+        assert derived.Q == Q
+        assert derived.traffic == traffic(relabeled, W)
         if derived.reflection is None:
             with pytest.raises(QSingularError):
-                reflection_matrix(relabeled)
+                reflection_matrix(relabeled, Q, A)
         else:
-            assert derived.reflection == reflection_matrix(relabeled)
+            assert derived.reflection == reflection_matrix(relabeled, Q, A)
 
 
 # a K = 24 reentrant line: reentrant_spec(*LINE_24)
@@ -452,7 +471,7 @@ def test_reentrant_workload_matches_partial_sums():
             spec = random_reentrant_line(rng, discipline)
             relabeled, _ = relabel_stations(spec)
             sets = priority_sets(relabeled)
-            Q = build_Q(relabeled)
+            Q = _Q(relabeled)
             for i in range(1, relabeled.station_count + 1):
                 for j in range(1, relabeled.station_count + 1):
                     expected = sum(
@@ -464,6 +483,42 @@ def test_reentrant_workload_matches_partial_sums():
                         Fraction(0),
                     )
                     assert Q.at(i - 1, j - 1) == expected
+
+
+def test_workload_matrix_is_the_low_class_block_of_A_inverse():
+    # build_Q selects entries of A^{-1}; the workload sum it replaces is the
+    # reference: Q[i][j] = sum over classes k at station i of m_k W[k][lowest(j)]
+    rng = random.Random(65)
+    specs = [random_spec(rng, d_max=5, K_max=12) for _ in range(100)]
+    for discipline in ("fbfs", "lbfs"):
+        specs += [
+            random_reentrant_line(rng, discipline, d_max=5, K_max=12) for _ in range(50)
+        ]
+    checked = 0
+    for base in specs:
+        for spec in (base, relabel_stations(base)[0]):
+            W = build_W(spec)
+            Q = build_Q(spec, build_A_inverse(spec, W))
+            lowest = priority_sets(spec).lowest
+            d = spec.station_count
+            expected = RatMatrix(
+                [
+                    [
+                        sum(
+                            (
+                                spec.service_means[k - 1] * W.at(k - 1, lowest[j] - 1)
+                                for k in spec.classes_at(i)
+                            ),
+                            Fraction(0),
+                        )
+                        for j in range(1, d + 1)
+                    ]
+                    for i in range(1, d + 1)
+                ]
+            )
+            assert Q == expected, spec
+            checked += 1
+    assert checked == 400
 
 
 def test_no_package_path_computes_a_determinant(monkeypatch):
@@ -496,12 +551,12 @@ SINGULAR_Q_SPEC = NetworkSpec(
 def test_singular_workload_matrix_raises_and_matches_block_test():
     spec = SINGULAR_Q_SPEC
     assert validate_spec(spec).valid
-    assert build_Q(spec).det() == 0
+    assert _Q(spec).det() == 0
     with pytest.raises(QSingularError):
-        reflection_matrix(spec)
+        reflection_matrix(spec, _Q(spec), _A(spec))
     # the high-priority block of A must be singular exactly when Q is
     sets = priority_sets(spec)
-    A = build_A(spec)
+    A = _A(spec)
     assert A.principal_submatrix(sorted(sets.high_classes)).det() == 0
     derived = derive_matrices(spec)
     assert derived.reflection is None
@@ -519,7 +574,7 @@ def test_singularity_disagreement_is_inconsistent(spec, Q):
     # A_H is singular exactly when Q is, so a Q passed in that answers the
     # other way must be caught
     with pytest.raises(InternalInconsistencyError, match="disagree on singularity"):
-        reflection_matrix(spec, Q=Q, A=build_A(spec))
+        reflection_matrix(spec, Q, _A(spec))
 
 
 def test_two_station_positive_determinant_gives_m_matrix():

@@ -66,3 +66,8 @@ def test_csv_vector():
     assert parse_rational_csv("1,1/2,-3") == (Fraction(1), Fraction(1, 2), Fraction(-3))
     with pytest.raises(RationalParseError):
         parse_rational_csv("")
+    # whitespace around an entry is allowed, an empty entry is not
+    assert parse_rational_csv(" 1 , 2 ") == (Fraction(1), Fraction(2))
+    for text in ("1,,2", "1,2,", ",1", "1, ,2"):
+        with pytest.raises(RationalParseError, match="empty entry in rational list"):
+            parse_rational_csv(text)
