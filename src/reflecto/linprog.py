@@ -1,10 +1,18 @@
 """Exact linear programming with a two-phase primal simplex over the rationals.
 
 The tableau is kept as sparse rows of integers, each row over its own positive
-denominator.  A pivot rewrites only the rows with a nonzero entry in the pivot
-column: each is cross-multiplied with the pivot row in integers and then
+denominator.  A pivot rewrites only the stored rows with a nonzero entry in the
+pivot column: each is cross-multiplied with the pivot row in integers and then
 divided by the gcd of its entries and its denominator, which keeps every row
-in lowest terms.  Rows with a zero there are not touched.  Pricing is Dantzig
+in lowest terms.  Rows with a zero there are not touched.
+
+A row whose basic variable is still its own slack is not stored at all.  It
+is its original row with the basic unknowns substituted (the revised-simplex
+view of a row; Chvatal, *Linear Programming*, 1983, ch. 7), so the ratio test
+derives its entry in the entering column, and its rhs, from the stored rows
+of the basic unknowns it names.  A box row x_k <= u or a monotonicity row
+x_a >= x_b names one or two.  When such a row is picked to leave the basis
+it is derived in full and stored from then on.  Pricing is Dantzig
 with least-index tie-breaks, switching to Bland's least-index rule after a
 fixed run of degenerate pivots; the leaving row breaks ratio ties by least
 basic-variable index.  This makes the solver deterministic (identical runs
@@ -13,7 +21,7 @@ agree bit for bit) and immune to cycling.
 Every pivot choice reads the rational tableau, never its integer scaling:
 pricing compares entries inside the cost row, which has one positive
 denominator; the ratio test compares rhs / entry within each row, where the
-row's denominator cancels; and the degeneracy test compares exact rationals.
+row's denominator, or a derived row's scale, cancels; and the degeneracy test compares exact rationals.
 So the pivot sequence depends only on the program, not on how rows are
 stored or reduced.
 
@@ -108,6 +116,13 @@ class _Tableau:
     Row i stores the nonzero entries of the rational tableau row times
     ``den[i] > 0`` as ``{column: int}``.  A pivot rewrites only the rows with
     an entry in the pivot column and divides each rewritten row by its gcd.
+
+    A row that starts with its own slack basic is unstored: ``T[i]`` is an
+    empty placeholder, so a pivot passes it by, and ``unstored[i]`` keeps its
+    original integer terms and rhs (its slack has coefficient 1).  ``where``
+    maps each basic variable to its row.  An unstored row's basic variable is
+    always its own slack, so every other basic unknown it names sits in a
+    stored row; ``_derived_row`` substitutes them.
     """
 
     def __init__(
@@ -146,13 +161,16 @@ class _Tableau:
                 r = -r
             int_rows.append((row, r))
 
-        # Artificial columns where the slack cannot serve as the basic variable.
+        # Artificial columns where the slack cannot serve as the basic variable;
+        # a row whose slack can is kept as its original terms, not stored.
         basis: list[int] = []
         art_rows: list[int] = []
-        for i, (row, _) in enumerate(int_rows):
+        self.unstored: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
+        for i, (row, r) in enumerate(int_rows):
             sc = slack_col[i]
             if sc is not None and row[sc] == 1:
                 basis.append(sc)
+                self.unstored[i] = (tuple((j, v) for j, v in row.items() if j != sc), r)
             else:
                 art_rows.append(i)
                 basis.append(ncols)
@@ -162,9 +180,12 @@ class _Tableau:
         self.m = m
         self.rhs_col = ncols
         self.basis = basis
+        self.where = {var: i for i, var in enumerate(basis)}
         self.T: list[dict[int, int]] = []
-        for row, r in int_rows:
-            if r:
+        for i, (row, r) in enumerate(int_rows):
+            if i in self.unstored:
+                row = {}
+            elif r:
                 row[ncols] = r
             self.T.append(row)
 
@@ -223,7 +244,38 @@ class _Tableau:
                 d //= g
             T[i] = new
             den[i] = d
+        del self.where[self.basis[r]]
+        self.where[c] = r
         self.basis[r] = c
+
+    def _derived_row(self, i: int) -> tuple[dict[int, int], int]:
+        """Unstored row i in full, as ``(row, den)`` in lowest terms.
+
+        Its original row times ``L``, the lcm of the basic unknowns' row
+        denominators, minus ``a_t * (L / den_t) * T[r_t]`` for each term
+        ``a_t`` on a basic unknown held in row ``r_t``; that cancels the term.
+        """
+        terms, rhs = self.unstored[i]
+        T, den, where = self.T, self.den, self.where
+        basic = [(a, where[j]) for j, a in terms if j in where]
+        L = lcm(*(den[r] for _, r in basic)) if basic else 1
+        row = {j: a * L for j, a in terms}
+        row[self.basis[i]] = L
+        if rhs:
+            row[self.rhs_col] = rhs * L
+        for a, r in basic:
+            f = a * (L // den[r])
+            for j, w in T[r].items():
+                v = row.get(j, 0) - f * w
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        g = gcd(*row.values())
+        if g > 1:
+            row = {j: v // g for j, v in row.items()}
+            L //= g
+        return row, L
 
     def _entering(self, cost_row: dict[int, int], bland: bool) -> Optional[int]:
         candidates = [
@@ -240,12 +292,35 @@ class _Tableau:
         best_num = 0
         best_den = 1
         rc = self.rhs_col
+        T, den, where, unstored = self.T, self.den, self.where, self.unstored
         for i in range(self.m):
-            row = self.T[i]
-            a = row.get(c, 0)
-            if a <= 0:
-                continue
-            num = row.get(rc, 0)
+            if i in unstored:
+                # The entry in column c and the rhs of the unstored row, each
+                # over the product of its basic unknowns' row denominators.
+                terms, num = unstored[i]
+                a, scale = 0, 1
+                for j, t in terms:
+                    r = where.get(j)
+                    if r is None:
+                        if j == c:
+                            a += t * scale
+                    else:
+                        a = a * den[r] - t * scale * T[r].get(c, 0)
+                        scale *= den[r]
+                if a <= 0:
+                    continue
+                scale = 1
+                for j, t in terms:
+                    r = where.get(j)
+                    if r is not None:
+                        num = num * den[r] - t * scale * T[r].get(rc, 0)
+                        scale *= den[r]
+            else:
+                row = T[i]
+                a = row.get(c, 0)
+                if a <= 0:
+                    continue
+                num = row.get(rc, 0)
             if best_row is None or num * best_den < best_num * a or (
                 num * best_den == best_num * a and self.basis[i] < self.basis[best_row]
             ):
@@ -269,6 +344,9 @@ class _Tableau:
             row = self._leaving(col)
             if row is None:
                 return False
+            if row in self.unstored:
+                self.T[row], self.den[row] = self._derived_row(row)
+                del self.unstored[row]
             before = (value, self.den[cost_index])
             self._pivot(row, col)
             after = (self.T[cost_index].get(self.rhs_col, 0), self.den[cost_index])
@@ -308,6 +386,10 @@ class _Tableau:
         ]
         self.den = [self.den[i] for i in keep]
         self.basis = [self.basis[i] for i in keep[:-1]]
+        self.where = {var: i for i, var in enumerate(self.basis)}
+        self.unstored = {
+            new: self.unstored[old] for new, old in enumerate(keep) if old in self.unstored
+        }
         self.m = len(self.basis)
         self.cost_row = self.m
         self.phase1_row = None

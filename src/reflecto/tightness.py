@@ -42,6 +42,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Mapping, Optional, Sequence
 
@@ -59,9 +60,10 @@ from .linprog import Constraint, LpStatus, Relation, constraint, linear_program,
 from .matrix import RatMatrix
 from .rational import Rational, RationalLike, as_rational, format_rational, parse_rational
 
-# Largest d for which check_tight_system runs its LP: about 90 s at d = 7 on
-# a random M-matrix; the time grows about 20x per dimension, so d = 8 would
-# take about half an hour.
+# Largest d for which check_tight_system runs its LP: about 15 s at d = 7 on
+# a random M-matrix at b = 1 (README, "Practical sizes"), where the time grows
+# 10-15x per dimension; non-M inputs take far longer (11-18 s against 0.1-0.2 s
+# for M-matrices at d = 5), so d = 8 would run for minutes to hours.
 LP_DIMENSION_CAP = 7
 
 # --------------------------------------------------------------------------
@@ -103,8 +105,14 @@ class VarIndex:
         return "x{" + body + "}" + suffix
 
 
+@lru_cache(maxsize=1)
 def canonical_variables(d: int) -> tuple[VarIndex, ...]:
-    """Every canonical variable, constants included: 2^d + d*2^(d-1) names."""
+    """Every canonical variable, constants included: 2^d + d*2^(d-1) names.
+
+    The names for the most recent d are kept, so the systems and witnesses of
+    one dimension share them; at d = 12 they take about 20 MiB, which is why
+    only one dimension is kept.
+    """
     out = [VarIndex.plain(subset) for subset in _all_subsets(d)]
     for j in range(1, d + 1):
         others = [i for i in range(1, d + 1) if i != j]
@@ -348,8 +356,11 @@ def check_tight_system(
     y_k <= 1 per unknown, maximising sum(y) over the rows of the bounded
     system.  Every row is homogeneous in y, so y = 0 is feasible; the solver
     still enters each balance equality with an artificial variable and pivots
-    it out before it optimises, and those pivots are most of the work (80 of
-    92 on a d = 5 M-matrix at b = 1).  The witness is re-verified exactly.
+    it out before it optimises.  Those pivots can be most of the pivot count
+    (80 of 93 on a d = 5 M-matrix at b = 1), but not of the time: over the 96
+    d = 4 inputs of the benchmark's certify-lp pool, the 3,543 phase-2 pivots
+    take 85% of the pivot time and the 3,072 pivot-outs 15%.  The witness is
+    re-verified exactly.
     Raises DimensionCapError above ``LP_DIMENSION_CAP``.
     """
     if reflection.rows > LP_DIMENSION_CAP:

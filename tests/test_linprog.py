@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 import reflecto.linprog as linprog
+from _generators import random_m_matrix, random_p_not_m_matrix
 from reflecto import (
     LpStatus,
     Relation,
+    check_tight_system,
     constraint,
     linear_program,
     lp_solve,
@@ -280,3 +282,107 @@ def test_random_program_outcomes_are_pinned():
     lines = [_outcome_text(lp_solve(_random_program(rng))) for _ in range(60)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "3ff470dc25a840cb3521be16a5d409da77b10b14e62e92623c72880ef150b984"
+
+
+def _solve_every_program():
+    """Solve the pinned LPs: tightness LPs at d = 2..5, then 60 random programs.
+
+    For every d, one M-matrix and one P-not-M matrix, each at b = 1 and at one
+    sampled b.  The d = 5 P-not-M matrix is drawn from its own seed, whose two
+    LPs take 190 and 232 pivots; most d = 5 draws take 1,000-1,700.
+    """
+    rng = random.Random(73)
+    draws = [(rng, gen, d) for d in range(2, 6) for gen in (random_m_matrix, random_p_not_m_matrix)]
+    draws[-1] = (random.Random(87), random_p_not_m_matrix, 5)
+    for stream, gen, d in draws:
+        R = gen(stream, d)
+        sampled = tuple(Fraction(stream.randint(1, 16), stream.randint(1, 16)) for _ in range(d))
+        for b in ((1,) * d, sampled):
+            yield check_tight_system(R, b)
+    rng = random.Random(21)
+    for _ in range(60):
+        yield lp_solve(_random_program(rng))
+
+
+def test_pivot_sequence_is_pinned(monkeypatch):
+    # Every (row, column) the solver pivots on, in order; how the tableau
+    # stores its rows must not change a single pivot choice.
+    pivots = []
+    pivot = linprog._Tableau._pivot
+
+    def spy_pivot(self, r, c):
+        pivots.append(f"{r},{c}")
+        pivot(self, r, c)
+
+    monkeypatch.setattr(linprog._Tableau, "_pivot", spy_pivot)
+    for _ in _solve_every_program():
+        pivots.append("|")
+    assert len(pivots) == 1116 + 76
+    digest = hashlib.sha256(" ".join(pivots).encode()).hexdigest()
+    assert digest == "cb4d024e2d1bf2c7f3698491dc17ee5e62c233518f44054c89df56bdb7e561ba"
+
+
+class _FullTableau(linprog._Tableau):
+    """Reference tableau: every row stored from the start and pivoted in full."""
+
+    _init = linprog._Tableau.__init__
+    _pivot = linprog._Tableau._pivot
+    drop_artificials = linprog._Tableau.drop_artificials
+
+    def __init__(self, *args):
+        self._init(*args)
+        for i, (terms, rhs) in self.unstored.items():
+            row = dict(terms)
+            row[self.basis[i]] = 1
+            if rhs:
+                row[self.rhs_col] = rhs
+            self.T[i] = row
+        self.unstored = {}
+
+
+def test_derived_rows_equal_stored_rows(monkeypatch):
+    # Each solve runs a full-storage reference beside it, pivoting on the same
+    # (row, column); after every pivot each unstored row, derived from the
+    # stored rows, must equal the reference's row exactly.  Rows are compared
+    # as rationals, by cross-multiplying: deleting the artificial columns can
+    # leave a stored row with a common factor that a derived row, reduced by
+    # its gcd, does not carry.
+    tableau = linprog._Tableau
+    init, pivot, drop = tableau.__init__, tableau._pivot, tableau.drop_artificials
+    checked = {"rows": 0, "pivots": 0}
+
+    def assert_rows_match(tab):
+        ref = tab.reference
+        assert tab.basis == ref.basis and len(tab.T) == len(ref.T)
+        for i in tab.unstored:
+            assert tab.basis[i] >= tab.nz and not tab.T[i]
+            row, den = tab._derived_row(i)
+            expected, expected_den = ref.T[i], ref.den[i]
+            assert {j: v * expected_den for j, v in row.items()} == {
+                j: v * den for j, v in expected.items()
+            }
+            checked["rows"] += 1
+
+    def spy_init(self, *args):
+        init(self, *args)
+        self.reference = _FullTableau(*args)
+        assert_rows_match(self)
+
+    def spy_pivot(self, r, c):
+        pivot(self, r, c)
+        pivot(self.reference, r, c)
+        assert_rows_match(self)
+        checked["pivots"] += 1
+
+    def spy_drop(self):
+        drop(self)
+        drop(self.reference)
+        assert_rows_match(self)
+
+    monkeypatch.setattr(tableau, "__init__", spy_init)
+    monkeypatch.setattr(tableau, "_pivot", spy_pivot)
+    monkeypatch.setattr(tableau, "drop_artificials", spy_drop)
+    for _ in _solve_every_program():
+        pass
+    assert checked["pivots"] == 1116
+    assert checked["rows"] > 10 * checked["pivots"]
