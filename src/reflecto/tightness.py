@@ -63,7 +63,8 @@ from .rational import Rational, RationalLike, as_rational, format_rational, pars
 # Largest d for which check_tight_system runs its LP: about 15 s at d = 7 on
 # a random M-matrix at b = 1 (README, "Practical sizes"), where the time grows
 # 10-15x per dimension; non-M inputs take far longer (11-18 s against 0.1-0.2 s
-# for M-matrices at d = 5), so d = 8 would run for minutes to hours.
+# for M-matrices at d = 5); extrapolated, d = 8 would take minutes even on
+# M-matrices.
 LP_DIMENSION_CAP = 7
 
 # --------------------------------------------------------------------------
