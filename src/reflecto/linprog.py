@@ -26,8 +26,9 @@ So the pivot sequence depends only on the program, not on how rows are
 stored or reduced.
 
 Programs are in standard form: every variable is nonnegative, and any other
-bound, such as x_k <= 1, is an ordinary constraint row.  Each returned point
-is re-checked exactly against every row and against x >= 0.
+bound, such as x_k <= 1, is an ordinary constraint row.  A row stores only its
+nonzero (column, coefficient) terms.  Each returned point is re-checked
+exactly against every row and against x >= 0.
 """
 
 from __future__ import annotations
@@ -50,10 +51,22 @@ class Relation(Enum):
     EQ = "="
     GE = ">="
 
+    def holds(self, lhs: Rational, rhs: Rational) -> bool:
+        """Whether ``lhs <relation> rhs`` is true."""
+        if self is Relation.EQ:
+            return lhs == rhs
+        return lhs <= rhs if self is Relation.LE else lhs >= rhs
+
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Rational, ...]
+    """sum(a * x[j] for j, a in terms) <relation> rhs.
+
+    ``terms`` are (column, coefficient) pairs, each column at most once; a
+    column that is not named has coefficient 0.
+    """
+
+    terms: tuple[tuple[int, Rational], ...]
     relation: Relation
     rhs: Rational
 
@@ -88,8 +101,10 @@ class LpOutcome:
 def constraint(
     coeffs: Iterable[RationalLike], relation: Relation | str, rhs: RationalLike
 ) -> Constraint:
+    """The row with dense coefficients ``coeffs``; its zeros are dropped."""
     rel = relation if isinstance(relation, Relation) else Relation(relation)
-    return Constraint(tuple(as_rational(c) for c in coeffs), rel, as_rational(rhs))
+    dense = (as_rational(c) for c in coeffs)
+    return Constraint(tuple((j, a) for j, a in enumerate(dense) if a), rel, as_rational(rhs))
 
 
 def linear_program(
@@ -97,12 +112,17 @@ def linear_program(
 ) -> LinearProgram:
     obj = tuple(as_rational(c) for c in objective)
     rows = tuple(constraints)
-    for c in rows:
-        if len(c.coeffs) != len(obj):
-            raise MatrixShapeError(
-                f"constraint has {len(c.coeffs)} coefficients for {len(obj)} variables"
-            )
+    for row in rows:
+        _check_columns(row, len(obj))
     return LinearProgram(obj, rows)
+
+
+def _check_columns(row: Constraint, n: int) -> None:
+    columns = {j for j, _ in row.terms}
+    if len(columns) != len(row.terms) or (columns and not 0 <= min(columns) <= max(columns) < n):
+        raise MatrixShapeError(
+            f"constraint terms must name distinct columns 0..{n - 1}, got {row.terms}"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -128,7 +148,7 @@ class _Tableau:
     def __init__(
         self,
         nz: int,
-        rows: list[dict[int, Fraction]],
+        rows: list[list[tuple[int, Fraction]]],
         relations: list[Relation],
         rhs: list[Fraction],
         cost: dict[int, Fraction],
@@ -149,13 +169,12 @@ class _Tableau:
         # negative, or when it is a homogeneous GE row: its slack then has
         # coefficient 1 and starts in the basis instead of an artificial.
         int_rows: list[tuple[dict[int, int], int]] = []
-        for coeffs, rel, b, sc in zip(rows, relations, rhs, slack_col):
-            denoms = [v.denominator for v in coeffs.values()] + [b.denominator]
-            mult = lcm(*denoms)
-            row = {col: int(v * mult) for col, v in coeffs.items()}
+        for terms, rel, b, sc in zip(rows, relations, rhs, slack_col):
+            mult = lcm(b.denominator, *(v.denominator for _, v in terms))
+            row = {col: v.numerator * (mult // v.denominator) for col, v in terms}
             if sc is not None:
                 row[sc] = -1 if rel is Relation.GE else 1
-            r = int(b * mult)
+            r = b.numerator * (mult // b.denominator)
             if r < 0 or (r == 0 and rel is Relation.GE):
                 row = {col: -v for col, v in row.items()}
                 r = -r
@@ -422,28 +441,19 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
     Statuses Infeasible/Unbounded are outcomes, not errors, and carry no point.
     """
     n = len(program.objective)
-    for row in program.constraints:
-        if len(row.coeffs) != n:
-            raise MatrixShapeError("constraint width must match variable count")
-
-    rows: list[dict[int, Fraction]] = []
+    rows: list[list[tuple[int, Fraction]]] = []
     relations: list[Relation] = []
     rhs: list[Fraction] = []
     for row in program.constraints:
-        cols = {j: a for j, a in enumerate(row.coeffs) if a}
-        r = row.rhs
-        if not cols:
-            violated = (
-                (row.relation is Relation.LE and not 0 <= r)
-                or (row.relation is Relation.EQ and r != 0)
-                or (row.relation is Relation.GE and not 0 >= r)
-            )
-            if violated:
+        _check_columns(row, n)
+        terms = [(j, a) for j, a in row.terms if a]
+        if not terms:
+            if not row.relation.holds(Fraction(0), row.rhs):
                 return LpOutcome(LpStatus.INFEASIBLE)
             continue
-        rows.append(cols)
+        rows.append(terms)
         relations.append(row.relation)
-        rhs.append(r)
+        rhs.append(row.rhs)
 
     obj_cols = {j: c for j, c in enumerate(program.objective) if c}
     tab = _Tableau(n, rows, relations, rhs, obj_cols)
@@ -473,15 +483,10 @@ def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 def _check_point(program: LinearProgram, point: Sequence[Fraction]) -> None:
     """Exact feasibility check; a failure means the solver itself is broken."""
     for row in program.constraints:
-        lhs = _dot(row.coeffs, point)
-        ok = (
-            lhs <= row.rhs
-            if row.relation is Relation.LE
-            else lhs == row.rhs if row.relation is Relation.EQ else lhs >= row.rhs
-        )
-        if not ok:
+        lhs = sum((a * point[j] for j, a in row.terms if point[j]), Fraction(0))
+        if not row.relation.holds(lhs, row.rhs):
             raise InternalInconsistencyError(
-                f"reported point violates constraint {row.coeffs} {row.relation.value} {row.rhs}"
+                f"reported point violates constraint {row.terms} {row.relation.value} {row.rhs}"
             )
     if any(x < 0 for x in point):
         raise InternalInconsistencyError("reported point has a negative coordinate")

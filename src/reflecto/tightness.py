@@ -56,15 +56,15 @@ from .errors import (
     RationalParseError,
     ReflectoError,
 )
-from .linprog import Constraint, LpStatus, Relation, constraint, linear_program, lp_solve
+from .linprog import Constraint, LpStatus, Relation, linear_program, lp_solve
 from .matrix import RatMatrix
 from .rational import Rational, RationalLike, as_rational, format_rational, parse_rational
 
-# Largest d for which check_tight_system runs its LP: about 15 s at d = 7 on
-# a random M-matrix at b = 1 (README, "Practical sizes"), where the time grows
-# 10-15x per dimension; non-M inputs take far longer (11-18 s against 0.1-0.2 s
-# for M-matrices at d = 5); extrapolated, d = 8 would take minutes even on
-# M-matrices.
+# Largest d for which check_tight_system runs its LP: about 16 s at d = 7 on
+# a random M-matrix at b = 1 (README, "Practical sizes"), almost all of it in
+# pivots, where the time grows 15-20x per dimension from d = 5; non-M inputs
+# take far longer (11-18 s at d = 5, against 0.06 s for that M-matrix);
+# extrapolated, d = 8 would take minutes even on M-matrices.
 LP_DIMENSION_CAP = 7
 
 # --------------------------------------------------------------------------
@@ -164,89 +164,131 @@ def _check_inputs(reflection: RatMatrix, b: Sequence[RationalLike]) -> tuple[Rat
     return scale
 
 
-def build_system(reflection: RatMatrix, b: Sequence[RationalLike]) -> TightnessSystem:
-    """Assemble the balance and monotonicity rows over canonical variables.
+@dataclass(frozen=True)
+class _Skeleton:
+    """The part of every d x d system that does not depend on R or b.
 
-    The all-ones assignment is feasible by construction; this is asserted
-    before returning.  Raises DimensionCapError above DEFAULT_DIMENSION_CAP
-    before any subset is enumerated.
+    ``balance`` has one ``(label, i, x_D, slots)`` per balance row, in row
+    order: i is 0-based, and ``slots`` lists ``(j, x_D^(j))`` for j = 0..d-1,
+    with ``None`` for the anchor x_{}^(j) of a singleton D = {j}.  The
+    interior x_D sorts before every boundary unknown, and these by j, so a
+    row's terms come out in canonical order.  ``monotone`` holds the finished
+    monotonicity rows.
     """
-    scale = _check_inputs(reflection, b)
-    d = reflection.rows
-    indices = list(range(1, d + 1))
-    nonempty = [subset for subset in _all_subsets(d) if subset]
 
-    variables = tuple(v for v in canonical_variables(d) if not v.is_constant)
-    rows: list[SystemRow] = []
+    variables: tuple[VarIndex, ...]
+    balance: tuple[tuple[str, int, VarIndex, tuple[tuple[int, Optional[VarIndex]], ...]], ...]
+    monotone: tuple[SystemRow, ...]
+
+
+@lru_cache(maxsize=1)
+def _skeleton(d: int) -> _Skeleton:
+    """Rows and variables of the d x d system; one dimension is kept, as in
+    ``canonical_variables``."""
+    indices = list(range(1, d + 1))
+    nonempty = [frozenset(subset) for subset in _all_subsets(d) if subset]
 
     def set_name(subset) -> str:
         return "{" + ",".join(str(i) for i in sorted(subset)) + "}"
 
-    # balance rows
-    for subset in nonempty:
-        dset = frozenset(subset)
-        for i in subset:
-            terms: dict[VarIndex, Rational] = {}
-            rhs = Fraction(0)
-            total = Fraction(0)
-            for j in indices:
-                coefficient = reflection.at(i - 1, j - 1) * scale[j - 1]
-                total += coefficient
-                if coefficient == 0:
-                    continue
-                var = VarIndex.boundary(j, dset)
-                if var.is_constant:
-                    rhs -= coefficient
-                else:
-                    terms[var] = terms.get(var, Fraction(0)) + coefficient
-            if total != 0:
-                plain = VarIndex.plain(dset)
-                terms[plain] = terms.get(plain, Fraction(0)) - total
-            terms = {v: c for v, c in terms.items() if c != 0}
-            rows.append(
-                SystemRow(
-                    f"balance[D={set_name(subset)},i={i}]",
-                    tuple(sorted(terms.items(), key=lambda t: t[0].sort_key())),
-                    Relation.EQ,
-                    rhs,
-                )
-            )
+    balance = []
+    for dset in nonempty:
+        slots = []
+        for j in indices:
+            var = VarIndex.boundary(j, dset)
+            slots.append((j - 1, None if var.is_constant else var))
+        plain, slots = VarIndex.plain(dset), tuple(slots)
+        balance.extend(
+            (f"balance[D={set_name(dset)},i={i}]", i - 1, plain, slots) for i in sorted(dset)
+        )
 
     # monotonicity rows on cover pairs, interior family first; transitivity
     # supplies the full order, and a cover from an anchor is part of the box
+    monotone = []
+    one, minus_one, zero = Fraction(1), Fraction(-1), Fraction(0)
     for j in (None, *indices):
-        for subset in nonempty:
-            dset = frozenset(subset)
+        for dset in nonempty:
             if j in dset:
                 continue
             for m in indices:
                 if m in dset or m == j:
                     continue
                 lower, upper = VarIndex(dset, j), VarIndex(dset | {m}, j)
-                rows.append(
+                monotone.append(
                     SystemRow(
                         f"mono[{lower.key()}>={upper.key()}]",
-                        ((lower, Fraction(1)), (upper, Fraction(-1))),
+                        ((lower, one), (upper, minus_one)),
                         Relation.GE,
-                        Fraction(0),
+                        zero,
                     )
                 )
+    variables = tuple(v for v in canonical_variables(d) if not v.is_constant)
+    return _Skeleton(variables, tuple(balance), tuple(monotone))
 
-    system = TightnessSystem(
+
+def build_system(reflection: RatMatrix, b: Sequence[RationalLike]) -> TightnessSystem:
+    """Assemble the balance and monotonicity rows over canonical variables.
+
+    Row (D, i) of the balance family has the term R_ij b_j on x_D^(j) for
+    every j, or on the rhs for the anchor, and minus their sum on x_D; the
+    d^2 products and d sums are formed once per call, and everything else
+    comes from the cached skeleton of the dimension.  The all-ones assignment
+    is feasible by construction: every row's coefficient sum is checked
+    against its rhs before returning.  Raises DimensionCapError above
+    DEFAULT_DIMENSION_CAP before any subset is enumerated.
+    """
+    scale = _check_inputs(reflection, b)
+    d = reflection.rows
+    skeleton = _skeleton(d)
+    coefficients = [[reflection.at(i, j) * scale[j] for j in range(d)] for i in range(d)]
+    interior = [-sum(row, Fraction(0)) for row in coefficients]
+
+    rows: list[SystemRow] = []
+    zero = Fraction(0)
+    for label, i, plain, slots in skeleton.balance:
+        row = coefficients[i]
+        terms = [(plain, interior[i])] if interior[i] else []
+        rhs = zero
+        for j, var in slots:
+            c = row[j]
+            if not c:
+                continue
+            if var is None:
+                rhs = -c
+            else:
+                terms.append((var, c))
+        rows.append(SystemRow(label, tuple(terms), Relation.EQ, rhs))
+    rows.extend(skeleton.monotone)
+
+    for row in rows:
+        # lhs(1) <relation> rhs exactly when 0 <relation> rhs - lhs(1)
+        if not row.relation.holds(0, _slack_at_ones(row)):
+            raise InternalInconsistencyError(
+                f"the all-ones assignment must satisfy every constraint; {row.label} fails"
+            )
+    return TightnessSystem(
         dimension=d,
         reflection=reflection,
         b=scale,
-        variables=variables,
+        variables=skeleton.variables,
         rows=tuple(rows),
     )
 
-    ones = {v: Fraction(1) for v in canonical_variables(d)}
-    report = verify_assignment(system, ones)
-    if not report.ok:
-        raise InternalInconsistencyError(
-            "the all-ones assignment must satisfy every constraint"
-        )
-    return system
+
+def _slack_at_ones(row: SystemRow) -> Rational:
+    """rhs minus the row's lhs at x = 1, that is minus its coefficient sum.
+
+    Exact, summed in integers over one running denominator: it runs on every
+    row of every system, where a Fraction sum would reduce at each term.
+    """
+    num, den = row.rhs.numerator, row.rhs.denominator
+    for _, c in row.terms:
+        n, d = c.numerator, c.denominator
+        if d == den:
+            num -= n
+        else:
+            num, den = num * d - n * den, den * d
+    return Fraction(num, den)
 
 
 # --------------------------------------------------------------------------
@@ -302,16 +344,10 @@ def verify_assignment(
 
     for row in system.rows:
         lhs = sum((c * value(v) for v, c in row.terms), Fraction(0))
-        if row.relation is Relation.EQ:
-            passed = lhs == row.rhs
-        elif row.relation is Relation.GE:
-            passed = lhs >= row.rhs
-        else:
-            passed = lhs <= row.rhs
         checks.append(
             CheckResult(
                 row.label,
-                passed,
+                row.relation.holds(lhs, row.rhs),
                 f"lhs = {format_rational(lhs)}, rhs = {format_rational(row.rhs)}",
             )
         )
@@ -360,7 +396,11 @@ def check_tight_system(
     it out before it optimises.  Those pivots can be most of the pivot count
     (80 of 93 on a d = 5 M-matrix at b = 1), but not of the time: over the 96
     d = 4 inputs of the benchmark's certify-lp pool, the 3,543 phase-2 pivots
-    take 85% of the pivot time and the 3,072 pivot-outs 15%.  The witness is
+    take 85% of the pivot time and the 3,072 pivot-outs 15%.  Each system row
+    becomes one sparse LP row over the columns of its own unknowns, and each
+    bound y_k <= 1 a one-term row; over that pool the pivots take about 84%
+    of this call, and building the system and the program, checking the
+    optimal point and verifying the witness the other 16%.  The witness is
     re-verified exactly.
     Raises DimensionCapError above ``LP_DIMENSION_CAP``.
     """
@@ -372,20 +412,14 @@ def check_tight_system(
     nfree = len(system.variables)
     column = {var: k for k, var in enumerate(system.variables)}
 
-    rows = []
-    for row in system.rows:
-        coeffs = [Fraction(0)] * nfree
-        coeff_sum = Fraction(0)
-        for var, c in row.terms:
-            coeffs[column[var]] = -c
-            coeff_sum += c
-        rows.append(constraint(coeffs, row.relation, row.rhs - coeff_sum))
-    # y_k <= 1, built directly: constraint() would coerce nfree^2 zeros.
-    zero, one = (Fraction(0),) * nfree, Fraction(1)
-    rows.extend(
-        Constraint(zero[:k] + (one,) + zero[k + 1:], Relation.LE, one)
-        for k in range(nfree)
-    )
+    rows = [
+        Constraint(
+            tuple((column[var], -c) for var, c in row.terms), row.relation, _slack_at_ones(row)
+        )
+        for row in system.rows
+    ]
+    one = Fraction(1)
+    rows.extend(Constraint(((k, one),), Relation.LE, one) for k in range(nfree))
     objective = [Fraction(-1)] * nfree  # minimise -sum(y) = maximise sum(y)
     outcome = lp_solve(linear_program(objective, rows))
     if outcome.status is not LpStatus.OPTIMAL:

@@ -9,7 +9,11 @@ import pytest
 import reflecto.linprog as linprog
 from _generators import random_m_matrix, random_p_not_m_matrix
 from reflecto import (
+    Constraint,
+    InternalInconsistencyError,
+    LinearProgram,
     LpStatus,
+    MatrixShapeError,
     Relation,
     check_tight_system,
     constraint,
@@ -112,6 +116,46 @@ def test_degenerate_homogeneous_system():
     assert outcome.solution == (Fraction(1), Fraction(1), Fraction(1))
 
 
+def test_constraint_keeps_only_nonzero_terms():
+    row = constraint([0, 2, 0, "-1/3", 0], "<=", 4)
+    assert row.terms == ((1, Fraction(2)), (3, Fraction(-1, 3)))
+    assert row.relation is Relation.LE and row.rhs == 4
+    assert constraint([0, 0], Relation.GE, -1).terms == ()
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [((2, Fraction(1)),), ((-1, Fraction(1)),), ((0, Fraction(1)), (0, Fraction(2)))],
+    ids=["beyond-objective", "negative", "repeated"],
+)
+def test_terms_must_name_distinct_columns_of_the_objective(terms):
+    row = Constraint(terms, Relation.LE, Fraction(1))
+    with pytest.raises(MatrixShapeError):
+        linear_program([1, 1], [row])
+    with pytest.raises(MatrixShapeError):
+        lp_solve(LinearProgram((Fraction(1), Fraction(1)), (row,)))
+
+
+def test_hand_built_zero_terms_are_dropped():
+    # A zero coefficient names a column without constraining it: -x1 <= -1
+    # alone forces x1 >= 1 whatever the zero term on x0 says.
+    row = Constraint(((0, Fraction(0)), (1, Fraction(-1))), Relation.LE, Fraction(-1))
+    outcome = lp_solve(LinearProgram((Fraction(1), Fraction(1)), (row,)))
+    assert outcome.optimum == 1 and outcome.solution == (Fraction(0), Fraction(1))
+
+
+def test_check_point_rejects_a_point_that_breaks_a_row():
+    program = linear_program(
+        [1, 1], [constraint([1, 1], Relation.GE, 2), constraint([0, 1], Relation.LE, 1)]
+    )
+    linprog._check_point(program, (Fraction(1), Fraction(1)))
+    for point in ((Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(3))):
+        with pytest.raises(InternalInconsistencyError, match="violates constraint"):
+            linprog._check_point(program, point)
+    with pytest.raises(InternalInconsistencyError, match="negative"):
+        linprog._check_point(program, (Fraction(3), Fraction(-1)))
+
+
 @pytest.fixture
 def kernel_log(monkeypatch):
     """Record the pivots, pricing calls and row drops of every solve."""
@@ -212,7 +256,9 @@ def test_against_float_solver():
         n = len(program.objective)
         A_ub, b_ub, A_eq, b_eq = [], [], [], []
         for row in program.constraints:
-            coeffs = [float(c) for c in row.coeffs]
+            coeffs = [0.0] * n
+            for j, c in row.terms:
+                coeffs[j] = float(c)
             if row.relation is Relation.LE:
                 A_ub.append(coeffs)
                 b_ub.append(float(row.rhs))

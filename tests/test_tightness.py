@@ -3,6 +3,8 @@
 import hashlib
 import json
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,6 +16,7 @@ from reflecto import (
     LP_DIMENSION_CAP,
     DecisionStatus,
     DimensionCapError,
+    InternalInconsistencyError,
     NotCompletelySError,
     ProofMethod,
     RatMatrix,
@@ -180,6 +183,66 @@ def test_all_ones_is_feasible_in_every_built_system():
         ones = {v: Fraction(1) for v in canonical_variables(d)}
         report = verify_assignment(system, ones)
         assert report.ok and report.is_all_ones
+
+
+def _system_text(system) -> str:
+    lines = [f"d={system.dimension} b={','.join(map(str, system.b))}"]
+    lines.append(" ".join(v.key() for v in system.variables))
+    for row in system.rows:
+        terms = " ".join(f"{v.key()}:{c}" for v, c in row.terms)
+        lines.append(f"{row.label}|{terms}|{row.relation.value}|{row.rhs}")
+    return "\n".join(lines)
+
+
+def test_build_system_is_pinned():
+    # Labels, variables, term order, coefficients, relations and rhs of nine
+    # systems.  The dimensions are interleaved, so the cached one-dimension
+    # skeleton is both rebuilt and re-entered; the last matrix has two rows
+    # whose total R_ij b_j is zero, so their balance rows carry no x_D term.
+    rng = random.Random(61)
+    texts = []
+    for d in (3, 4, 3, 5, 2, 4, 1, 5):
+        entries = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+            for _ in range(d)
+        ]
+        b = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(d)]
+        texts.append(_system_text(build_system(RatMatrix(entries), b)))
+    R = RatMatrix([[2, -1, 0], [1, 1, -3], [0, -1, 4]])
+    texts.append(_system_text(build_system(R, [1, 2, 1])))
+    text = "\n".join(texts)
+    assert text.count("\n") + 1 == 888
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "fb6ad871c9f37af262ad5a6eedabfe92f317ba80be01b6c0c586346af7fad34b"
+
+
+@pytest.mark.parametrize("family", ["balance", "monotone"])
+def test_all_ones_check_reads_every_row(monkeypatch, family):
+    # A skeleton with one row that x = 1 violates: a balance row that lost
+    # its anchor slot (rhs 0, coefficient sum -R_11 b_1), or a monotonicity
+    # row with rhs 1 (coefficient sum 0).
+    real = tightness._skeleton(3)
+    if family == "balance":
+        label, i, plain, slots = real.balance[0]
+        assert slots[i][1] is None  # D = {1}: the anchor x{}^(1)
+        bad = (label, i, plain, slots[:i] + slots[i + 1:])
+        skeleton = replace(real, balance=(bad,) + real.balance[1:])
+    else:
+        bad = replace(real.monotone[0], rhs=Fraction(1))
+        skeleton = replace(real, monotone=(bad,) + real.monotone[1:])
+        label = bad.label
+    monkeypatch.setattr(tightness, "_skeleton", lambda d: skeleton)
+    with pytest.raises(InternalInconsistencyError, match=re.escape(label)):
+        build_system(REFLECTION, ONES3)
+
+
+def test_build_system_refuses_above_cap_before_the_skeleton(monkeypatch):
+    def fail(d):
+        raise AssertionError(f"the d = {d} skeleton was built")
+
+    monkeypatch.setattr(tightness, "_skeleton", fail)
+    with pytest.raises(DimensionCapError):
+        build_system(RatMatrix.identity(13), [1] * 13)
 
 
 # --------------------------------------------------------------------------
