@@ -43,6 +43,7 @@ from .network import (
     derive_matrices,
     dump_spec,
     load_spec,
+    read_json,
     reentrant_spec,
     spec_to_json_dict,
 )
@@ -94,8 +95,7 @@ def _sample_count(text: str) -> int:
 
 
 def _load_matrix_file(path: str) -> tuple[RatMatrix, Optional[tuple]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = read_json(path)
     if not isinstance(data, dict) or "matrix" not in data:
         raise ReflectoError("matrix file must be an object with a 'matrix' field")
     unknown = set(data) - {"matrix", "b"}
@@ -318,8 +318,7 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[dict, int]:
         b = file_b
     else:
         b = tuple(Fraction(1) for _ in range(matrix.rows))
-    with open(args.witness, "r", encoding="utf-8") as handle:
-        table = json.load(handle)
+    table = read_json(args.witness)
     if not isinstance(table, dict):
         raise ReflectoError("witness file must be a JSON object of key/value strings")
     assignment = assignment_from_table(table, matrix.rows)
@@ -408,7 +407,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 2
-    except (ReflectoError, OSError, json.JSONDecodeError) as exc:
+    except (ReflectoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

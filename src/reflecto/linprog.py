@@ -27,8 +27,10 @@ stored or reduced.
 
 Programs are in standard form: every variable is nonnegative, and any other
 bound, such as x_k <= 1, is an ordinary constraint row.  A row stores only its
-nonzero (column, coefficient) terms.  Each returned point is re-checked
-exactly against every row and against x >= 0.
+nonzero (column, coefficient) terms.  ``row_value`` is the one exact
+evaluator of a row at a point: it re-checks each returned point against
+every row and its objective value against the optimum, and the tightness
+witness check uses it too.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InternalInconsistencyError, MatrixShapeError
 from .rational import Rational, RationalLike, as_rational
@@ -133,6 +135,9 @@ def _check_columns(row: Constraint, n: int) -> None:
 class _Tableau:
     """Simplex tableau of sparse integer rows, each over its own denominator.
 
+    Built from ``Constraint`` rows that are not all zero (their zero terms
+    are dropped here) and the nonzero cost terms by column.
+
     Row i stores the nonzero entries of the rational tableau row times
     ``den[i] > 0`` as ``{column: int}``.  A pivot rewrites only the rows with
     an entry in the pivot column and divides each rewritten row by its gcd.
@@ -145,37 +150,31 @@ class _Tableau:
     stored row; ``_derived_row`` substitutes them.
     """
 
-    def __init__(
-        self,
-        nz: int,
-        rows: list[list[tuple[int, Fraction]]],
-        relations: list[Relation],
-        rhs: list[Fraction],
-        cost: dict[int, Fraction],
-    ):
+    def __init__(self, nz: int, rows: list[Constraint], cost: dict[int, Fraction]):
         self.nz = nz
         m = len(rows)
 
         # Slack columns: +1 on an LE row, -1 on a GE row.
         slack_col: list[Optional[int]] = [None] * m
         ncols = nz
-        for i, rel in enumerate(relations):
-            if rel is not Relation.EQ:
+        for i, row in enumerate(rows):
+            if row.relation is not Relation.EQ:
                 slack_col[i] = ncols
                 ncols += 1
         self.art_start = ncols
 
-        # Integer-scale each constraint row, then negate it when its rhs is
-        # negative, or when it is a homogeneous GE row: its slack then has
-        # coefficient 1 and starts in the basis instead of an artificial.
+        # Integer-scale each constraint row without its zero terms, then
+        # negate it when its rhs is negative, or when it is a homogeneous GE
+        # row: its slack then has coefficient 1 and starts in the basis
+        # instead of an artificial.
         int_rows: list[tuple[dict[int, int], int]] = []
-        for terms, rel, b, sc in zip(rows, relations, rhs, slack_col):
-            mult = lcm(b.denominator, *(v.denominator for _, v in terms))
-            row = {col: v.numerator * (mult // v.denominator) for col, v in terms}
+        for con, sc in zip(rows, slack_col):
+            mult = lcm(con.rhs.denominator, *(v.denominator for _, v in con.terms))
+            row = {col: v.numerator * (mult // v.denominator) for col, v in con.terms if v}
             if sc is not None:
-                row[sc] = -1 if rel is Relation.GE else 1
-            r = b.numerator * (mult // b.denominator)
-            if r < 0 or (r == 0 and rel is Relation.GE):
+                row[sc] = -1 if con.relation is Relation.GE else 1
+            r = con.rhs.numerator * (mult // con.rhs.denominator)
+            if r < 0 or (r == 0 and con.relation is Relation.GE):
                 row = {col: -v for col, v in row.items()}
                 r = -r
             int_rows.append((row, r))
@@ -441,22 +440,15 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
     Statuses Infeasible/Unbounded are outcomes, not errors, and carry no point.
     """
     n = len(program.objective)
-    rows: list[list[tuple[int, Fraction]]] = []
-    relations: list[Relation] = []
-    rhs: list[Fraction] = []
+    rows: list[Constraint] = []
     for row in program.constraints:
         _check_columns(row, n)
-        terms = [(j, a) for j, a in row.terms if a]
-        if not terms:
-            if not row.relation.holds(Fraction(0), row.rhs):
-                return LpOutcome(LpStatus.INFEASIBLE)
-            continue
-        rows.append(terms)
-        relations.append(row.relation)
-        rhs.append(row.rhs)
+        if any(a for _, a in row.terms):
+            rows.append(row)
+        elif not row.relation.holds(Fraction(0), row.rhs):
+            return LpOutcome(LpStatus.INFEASIBLE)
 
-    obj_cols = {j: c for j, c in enumerate(program.objective) if c}
-    tab = _Tableau(n, rows, relations, rhs, obj_cols)
+    tab = _Tableau(n, rows, {j: c for j, c in enumerate(program.objective) if c})
 
     if tab.phase1_row is not None:
         if not tab.run_phase(tab.phase1_row, stop_at_zero=True):
@@ -471,20 +463,26 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
     solution = tuple(tab.z_solution())
     optimum = tab.objective_value()
     _check_point(program, solution)
-    if _dot(program.objective, solution) != optimum:
+    if row_value(enumerate(program.objective), solution) != optimum:
         raise InternalInconsistencyError("objective value mismatch at reported optimum")
     return LpOutcome(LpStatus.OPTIMAL, optimum=optimum, solution=solution)
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
+def row_value(
+    terms: Iterable[tuple[object, Rational]], point: Sequence[Rational] | Mapping[object, Rational]
+) -> Rational:
+    """sum(a * point[j] for j, a in terms), exactly.
+
+    ``point`` is a sequence indexed by column or a mapping keyed by the
+    terms' names; a zero coordinate adds nothing and is skipped.
+    """
+    return sum((a * v for j, a in terms if (v := point[j])), Fraction(0))
 
 
 def _check_point(program: LinearProgram, point: Sequence[Fraction]) -> None:
     """Exact feasibility check; a failure means the solver itself is broken."""
     for row in program.constraints:
-        lhs = sum((a * point[j] for j, a in row.terms if point[j]), Fraction(0))
-        if not row.relation.holds(lhs, row.rhs):
+        if not row.relation.holds(row_value(row.terms, point), row.rhs):
             raise InternalInconsistencyError(
                 f"reported point violates constraint {row.terms} {row.relation.value} {row.rhs}"
             )

@@ -35,6 +35,7 @@ from typing import Optional, Sequence
 from .errors import (
     InternalInconsistencyError,
     QSingularError,
+    ReflectoError,
     SingularMatrixError,
     SpecValidationError,
 )
@@ -574,9 +575,24 @@ def spec_from_json_dict(data: dict) -> NetworkSpec:
     return spec
 
 
-def load_spec(path: str) -> NetworkSpec:
+def read_json(path: str):
+    """The JSON document in the file ``path``; ReflectoError, naming the file,
+    when it is not UTF-8 JSON.
+
+    ``json.load`` raises a ValueError subclass for malformed text or bytes,
+    and a plain ValueError for an integer literal longer than the
+    interpreter's int conversion limit (4,300 digits); all become
+    ReflectoError.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        return spec_from_json_dict(json.load(handle))
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise ReflectoError(f"{path}: {exc}") from None
+
+
+def load_spec(path: str) -> NetworkSpec:
+    return spec_from_json_dict(read_json(path))
 
 
 def dump_spec(spec: NetworkSpec, path: str) -> None:

@@ -56,7 +56,7 @@ from .errors import (
     RationalParseError,
     ReflectoError,
 )
-from .linprog import Constraint, LpStatus, Relation, linear_program, lp_solve
+from .linprog import Constraint, LpStatus, Relation, linear_program, lp_solve, row_value
 from .matrix import RatMatrix
 from .rational import Rational, RationalLike, as_rational, format_rational, parse_rational
 
@@ -146,7 +146,6 @@ class SystemRow:
 @dataclass(frozen=True)
 class TightnessSystem:
     dimension: int
-    reflection: RatMatrix
     b: tuple[Rational, ...]
     variables: tuple[VarIndex, ...]  # free canonical variables, in column order
     rows: tuple[SystemRow, ...]
@@ -232,10 +231,11 @@ def build_system(reflection: RatMatrix, b: Sequence[RationalLike]) -> TightnessS
     Row (D, i) of the balance family has the term R_ij b_j on x_D^(j) for
     every j, or on the rhs for the anchor, and minus their sum on x_D; the
     d^2 products and d sums are formed once per call, and everything else
-    comes from the cached skeleton of the dimension.  The all-ones assignment
-    is feasible by construction: every row's coefficient sum is checked
-    against its rhs before returning.  Raises DimensionCapError above
-    DEFAULT_DIMENSION_CAP before any subset is enumerated.
+    comes from the cached skeleton of the dimension.  Every row is active at
+    the all-ones assignment by construction (after y = 1 - x it is
+    homogeneous): each row's coefficient sum is checked to equal its rhs
+    before returning.  Raises DimensionCapError above DEFAULT_DIMENSION_CAP
+    before any subset is enumerated.
     """
     scale = _check_inputs(reflection, b)
     d = reflection.rows
@@ -261,14 +261,12 @@ def build_system(reflection: RatMatrix, b: Sequence[RationalLike]) -> TightnessS
     rows.extend(skeleton.monotone)
 
     for row in rows:
-        # lhs(1) <relation> rhs exactly when 0 <relation> rhs - lhs(1)
-        if not row.relation.holds(0, _slack_at_ones(row)):
+        if _slack_at_ones(row):
             raise InternalInconsistencyError(
-                f"the all-ones assignment must satisfy every constraint; {row.label} fails"
+                f"every row must be active at the all-ones assignment; {row.label} is not"
             )
     return TightnessSystem(
         dimension=d,
-        reflection=reflection,
         b=scale,
         variables=skeleton.variables,
         rows=tuple(rows),
@@ -298,69 +296,58 @@ def _slack_at_ones(row: SystemRow) -> Rational:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One failed check: its label and the values that broke it."""
+
     label: str
-    passed: bool
     detail: str
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    ok: bool
     is_all_ones: bool
-    checks: tuple[CheckResult, ...]
+    failed: tuple[CheckResult, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failed
 
     def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
+        return self.failed
 
 
 def verify_assignment(
     system: TightnessSystem, assignment: Mapping[VarIndex, Rational]
 ) -> VerificationReport:
-    """Exact check of every constraint; reports each row separately.
+    """Exact check of every anchor, row and range; reports each one that fails.
 
     The assignment must cover every canonical variable of the system's
-    dimension (constants included).
+    dimension (constants included).  Failures come in check order: anchors,
+    then rows, then ranges; a check that passes leaves no record.
     """
     everything = canonical_variables(system.dimension)
     for var in everything:
         if var not in assignment:
             raise MissingVariableError(var.key())
+    value = {var: as_rational(assignment[var]) for var in everything}
 
-    checks: list[CheckResult] = []
-
-    def value(var: VarIndex) -> Rational:
-        return as_rational(assignment[var])
-
+    failed: list[CheckResult] = []
     for var in everything:
-        if var.is_constant:
-            v = value(var)
-            checks.append(
-                CheckResult(
-                    f"anchor[{var.key()}=1]",
-                    v == 1,
-                    f"{var.key()} = {format_rational(v)}",
-                )
+        if var.is_constant and value[var] != 1:
+            failed.append(
+                CheckResult(f"anchor[{var.key()}=1]", f"{var.key()} = {format_rational(value[var])}")
             )
-
     for row in system.rows:
-        lhs = sum((c * value(v) for v, c in row.terms), Fraction(0))
-        checks.append(
-            CheckResult(
-                row.label,
-                row.relation.holds(lhs, row.rhs),
-                f"lhs = {format_rational(lhs)}, rhs = {format_rational(row.rhs)}",
-            )
-        )
-
+        lhs = row_value(row.terms, value)
+        if not row.relation.holds(lhs, row.rhs):
+            detail = f"lhs = {format_rational(lhs)}, rhs = {format_rational(row.rhs)}"
+            failed.append(CheckResult(row.label, detail))
     for var in system.variables:
-        v = value(var)
-        checks.append(
-            CheckResult(f"range[{var.key()}]", 0 <= v <= 1, f"{var.key()} = {format_rational(v)}")
-        )
-
-    ok = all(c.passed for c in checks)
-    is_all_ones = all(value(v) == 1 for v in everything)
-    return VerificationReport(ok=ok, is_all_ones=is_all_ones, checks=checks)
+        if not 0 <= value[var] <= 1:
+            failed.append(
+                CheckResult(f"range[{var.key()}]", f"{var.key()} = {format_rational(value[var])}")
+            )
+    is_all_ones = all(v == 1 for v in value.values())
+    return VerificationReport(is_all_ones, tuple(failed))
 
 
 # --------------------------------------------------------------------------
@@ -391,9 +378,11 @@ def check_tight_system(
 
     One LP runs on the substitution y = 1 - x with y >= 0 and one row
     y_k <= 1 per unknown, maximising sum(y) over the rows of the bounded
-    system.  Every row is homogeneous in y, so y = 0 is feasible; the solver
-    still enters each balance equality with an artificial variable and pivots
-    it out before it optimises.  Those pivots can be most of the pivot count
+    system.  ``build_system`` has checked that every row is active at x = 1,
+    so in y every row is homogeneous and gets rhs 0 without a second pass
+    over its terms.  y = 0 is feasible, but the solver still enters each
+    balance equality with an artificial variable and pivots it out before it
+    optimises.  Those pivots can be most of the pivot count
     (80 of 93 on a d = 5 M-matrix at b = 1), but not of the time: over the 96
     d = 4 inputs of the benchmark's certify-lp pool, the 3,543 phase-2 pivots
     take 85% of the pivot time and the 3,072 pivot-outs 15%.  Each system row
@@ -401,7 +390,7 @@ def check_tight_system(
     bound y_k <= 1 a one-term row; over that pool the pivots take about 84%
     of this call, and building the system and the program, checking the
     optimal point and verifying the witness the other 16%.  The witness is
-    re-verified exactly.
+    re-verified exactly, with every anchor, row and range check.
     Raises DimensionCapError above ``LP_DIMENSION_CAP``.
     """
     if reflection.rows > LP_DIMENSION_CAP:
@@ -412,13 +401,11 @@ def check_tight_system(
     nfree = len(system.variables)
     column = {var: k for k, var in enumerate(system.variables)}
 
+    zero, one = Fraction(0), Fraction(1)
     rows = [
-        Constraint(
-            tuple((column[var], -c) for var, c in row.terms), row.relation, _slack_at_ones(row)
-        )
+        Constraint(tuple((column[var], -c) for var, c in row.terms), row.relation, zero)
         for row in system.rows
     ]
-    one = Fraction(1)
     rows.extend(Constraint(((k, one),), Relation.LE, one) for k in range(nfree))
     objective = [Fraction(-1)] * nfree  # minimise -sum(y) = maximise sum(y)
     outcome = lp_solve(linear_program(objective, rows))
@@ -430,11 +417,9 @@ def check_tight_system(
     optimum = nfree + outcome.optimum
     if optimum == nfree:
         return TightnessVerdict(True, nfree, optimum, None)
-    witness = {
-        v: Fraction(1) for v in canonical_variables(system.dimension) if v.is_constant
-    }
+    witness = {v: one for v in canonical_variables(system.dimension) if v.is_constant}
     for var, y in zip(system.variables, outcome.solution):
-        witness[var] = Fraction(1) - y
+        witness[var] = one - y
     report = verify_assignment(system, witness)
     if not report.ok or report.is_all_ones:
         raise InternalInconsistencyError("extracted witness failed verification")

@@ -185,6 +185,30 @@ def test_matrix_commands_reject_malformed_matrix_file(tmp_path, capsys, command,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# an integer literal over the int conversion limit (4,300 digits): json.load
+# raises a plain ValueError for it, not JSONDecodeError
+LONG_LITERAL = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("classify", '{"matrix": [[%s]]}' % LONG_LITERAL),
+        ("analyze", '{"classes": %s}' % LONG_LITERAL),
+        ("witness", '{"x{}": %s}' % LONG_LITERAL),
+        ("classify", '{"matrix": [["\xff"]]}'),
+    ],
+    ids=["matrix-file", "network-file", "witness-table", "not-utf8"],
+)
+def test_unreadable_json_is_an_input_error(matrix_file, tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_bytes(text.encode("latin-1"))
+    argv = [command, matrix_file, str(path)] if command == "witness" else [command, str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
 def test_analyze_rejects_invalid_spec(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(
@@ -388,6 +412,22 @@ def test_witness_command_rejects_perturbed_value(matrix_file, tmp_path, capsys):
     witness_path.write_text(json.dumps(table))
     assert main(["witness", matrix_file, str(witness_path)]) == 1
     assert "balance[D={3},i=3]" in capsys.readouterr().out
+
+
+def test_witness_failure_report_is_pinned(matrix_file, tmp_path, capsys):
+    # one failing anchor, balance row, monotonicity row and range check, in
+    # check order, each with its detail
+    table = dict(WITNESS_TABLE, **{"x{}": "1/2", "x{3}": "1", "x{1,2}": "2"})
+    witness_path = tmp_path / "failing.json"
+    witness_path.write_text(json.dumps(table))
+    assert main(["witness", matrix_file, str(witness_path), "--json"]) == 1
+    out = capsys.readouterr().out
+    labels = [f["constraint"] for f in json.loads(out)["failures"]]
+    assert [label.split("[")[0] for label in labels] == (
+        ["anchor"] + ["balance"] * 3 + ["mono"] * 2 + ["range"]
+    )
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "9e1a876d12acbcbb39150fff941f57edd4a3924cfa3282c728fb23ae02cc36e1"
 
 
 def test_witness_command_reports_missing_key(matrix_file, tmp_path, capsys):

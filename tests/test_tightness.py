@@ -216,11 +216,12 @@ def test_build_system_is_pinned():
     assert digest == "fb6ad871c9f37af262ad5a6eedabfe92f317ba80be01b6c0c586346af7fad34b"
 
 
-@pytest.mark.parametrize("family", ["balance", "monotone"])
+@pytest.mark.parametrize("family", ["balance", "monotone", "inactive"])
 def test_all_ones_check_reads_every_row(monkeypatch, family):
-    # A skeleton with one row that x = 1 violates: a balance row that lost
-    # its anchor slot (rhs 0, coefficient sum -R_11 b_1), or a monotonicity
-    # row with rhs 1 (coefficient sum 0).
+    # A skeleton with one row that is not active at x = 1: a balance row that
+    # lost its anchor slot (rhs 0, coefficient sum -R_11 b_1), a monotonicity
+    # row with rhs 1 (coefficient sum 0), which x = 1 violates, or one with
+    # rhs -1, which x = 1 satisfies with slack.
     real = tightness._skeleton(3)
     if family == "balance":
         label, i, plain, slots = real.balance[0]
@@ -228,7 +229,7 @@ def test_all_ones_check_reads_every_row(monkeypatch, family):
         bad = (label, i, plain, slots[:i] + slots[i + 1:])
         skeleton = replace(real, balance=(bad,) + real.balance[1:])
     else:
-        bad = replace(real.monotone[0], rhs=Fraction(1))
+        bad = replace(real.monotone[0], rhs=Fraction(1 if family == "monotone" else -1))
         skeleton = replace(real, monotone=(bad,) + real.monotone[1:])
         label = bad.label
     monkeypatch.setattr(tightness, "_skeleton", lambda d: skeleton)
