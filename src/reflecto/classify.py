@@ -15,9 +15,12 @@ Principal subsets are enumerated in lexicographic order of their sorted index
 tuples, and the first failing subset is reported, so results are deterministic
 regardless of any internal evaluation order.  The P-test visits the subsets in
 that order with one fraction-free elimination step per subset: it never forms
-a principal submatrix or calls ``RatMatrix.det``, so all 2^d - 1 minors cost
-O(d^2) integer operations each (see ``is_p_matrix``).  Positive definiteness
-is the P-test on the symmetric part, so no test here computes a determinant.
+a principal submatrix or calls ``RatMatrix.det``, so each minor costs O(d^2)
+integer operations (see ``is_p_matrix``).  When the entries make the matrix
+a Z-matrix, symmetric or Hessenberg, the d(d+1)/2 minors on intervals
+{i..j} decide the P-property, and the walk visits those alone unless one of
+them fails.  Positive definiteness is that interval walk on the symmetric
+part, so no test here computes a determinant.
 """
 
 from __future__ import annotations
@@ -97,6 +100,21 @@ def is_p_matrix(matrix: RatMatrix) -> tuple[bool, Optional[tuple[int, ...]]]:
     p, gives the bordered minors of S + (j,) (Tsatsomeros and Li, "A
     recursive test for P-matrices", BIT 40, 2000).  A subset costs O(d^2)
     integer operations, and the walk stops at the first nonpositive minor.
+
+    For three structures the d(d+1)/2 interval minors det A[{i..j}] already
+    decide the question, and the walk first visits only those:
+
+    * a Z-matrix (off-diagonal entries <= 0) with positive leading minors is
+      a nonsingular M-matrix, hence P (Fiedler and Ptak, Czech. Math. J. 12,
+      1962);
+    * a symmetric matrix with positive leading minors is positive definite,
+      hence P (Sylvester's criterion);
+    * in an upper Hessenberg matrix (A_ij = 0 for i > j + 1) or a lower one,
+      A[S] is block triangular over the runs of consecutive indices in S, so
+      det A[S] is a product of interval minors.
+
+    If an interval minor fails, the full walk runs, so the reported subset is
+    always the lexicographically first failure.
     """
     d = _require_square(matrix)
     _check_cap(d)
@@ -104,14 +122,35 @@ def is_p_matrix(matrix: RatMatrix) -> tuple[bool, Optional[tuple[int, ...]]]:
     for row in matrix.row_lists():
         mult = lcm(*(v.denominator for v in row))
         integer_rows.append([v.numerator * (mult // v.denominator) for v in row])
+    if _intervals_decide_p(matrix) and (
+        _first_nonpositive_minor(integer_rows, (), 0, 1, intervals=True) is None
+    ):
+        return True, None
     failing = _first_nonpositive_minor(integer_rows, (), 0, 1)
     return failing is None, failing
 
 
+def _intervals_decide_p(matrix: RatMatrix) -> bool:
+    """Z-matrix, symmetric, or upper or lower Hessenberg (see ``is_p_matrix``)."""
+    d, at = matrix.rows, matrix.at
+    return (
+        _nonpositive_off_diagonal(matrix)
+        or all(at(i, j) == at(j, i) for i in range(d) for j in range(i))
+        or all(at(i, j) == 0 for i in range(d) for j in range(i - 1))
+        or all(at(j, i) == 0 for i in range(d) for j in range(i - 1))
+    )
+
+
 def _first_nonpositive_minor(
-    block: list[list[int]], prefix: tuple[int, ...], first: int, prev: int
+    block: list[list[int]],
+    prefix: tuple[int, ...],
+    first: int,
+    prev: int,
+    intervals: bool = False,
 ) -> Optional[tuple[int, ...]]:
-    # block[a] belongs to the 0-based index first + a; prev is det A[prefix]
+    # block[a] belongs to the 0-based index first + a; prev is det A[prefix].
+    # With intervals set, only the first branch is taken below the top level,
+    # so the walk visits exactly the subsets {i..j}.
     for a, pivot_row in enumerate(block):
         subset = prefix + (first + a + 1,)
         pivot = pivot_row[a]
@@ -122,8 +161,8 @@ def _first_nonpositive_minor(
             [(pivot * row[c] - row[a] * pivot_row[c]) // prev for c in range(tail, len(row))]
             for row in block[tail:]
         ]
-        failing = _first_nonpositive_minor(child, subset, first + tail, pivot)
-        if failing is not None:
+        failing = _first_nonpositive_minor(child, subset, first + tail, pivot, intervals)
+        if failing is not None or (intervals and prefix):
             return failing
     return None
 
@@ -140,15 +179,23 @@ def is_m_matrix(matrix: RatMatrix) -> bool:
 
 
 def is_positive_definite(matrix: RatMatrix) -> bool:
-    """x'Mx > 0 for all nonzero real x, decided by the P-test on M + M'.
+    """x'Mx > 0 for all nonzero real x, decided on the symmetric part M + M'.
 
-    A symmetric matrix is positive definite exactly when every principal
-    minor is positive (Horn and Johnson, Matrix Analysis, Thm 7.2.5), and
-    x'Mx = x'(M + M')x / 2.  The walk visits the leading minors first, so an
-    indefinite matrix stops at the first nonpositive one, as in Sylvester's
-    criterion.  Like every subset test it refuses d > DEFAULT_DIMENSION_CAP.
+    x'Mx = x'(M + M')x / 2, and a symmetric matrix is positive definite
+    exactly when its leading minors are positive (Sylvester's criterion;
+    Horn and Johnson, Matrix Analysis, Thm 7.2.5).  M + M' is scaled to
+    integers by one lcm of all denominators, which keeps it symmetric, and
+    the interval walk of ``is_p_matrix`` decides it: its leading minors come
+    first, and it stops at the first nonpositive interval minor.  Like every
+    subset test it refuses d > DEFAULT_DIMENSION_CAP.
     """
-    return is_p_matrix(matrix + matrix.transpose())[0]
+    d = _require_square(matrix)
+    _check_cap(d)
+    rows = matrix.row_lists()
+    mult = lcm(*(v.denominator for row in rows for v in row))
+    scaled = [[v.numerator * (mult // v.denominator) for v in row] for row in rows]
+    symmetric = [[scaled[i][j] + scaled[j][i] for j in range(d)] for i in range(d)]
+    return _first_nonpositive_minor(symmetric, (), 0, 1, intervals=True) is None
 
 
 class TwoByTwoCase(Enum):

@@ -75,10 +75,25 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """minimize objective . x subject to constraints and x >= 0."""
+    """minimize objective . x subject to constraints and x >= 0.
+
+    Every row must name distinct columns of the objective; this is checked
+    once, here, so the solver does not check it again.
+    """
 
     objective: tuple[Rational, ...]
     constraints: tuple[Constraint, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.objective)
+        for row in self.constraints:
+            columns = {j for j, _ in row.terms}
+            if len(columns) != len(row.terms) or (
+                columns and not 0 <= min(columns) <= max(columns) < n
+            ):
+                raise MatrixShapeError(
+                    f"constraint terms must name distinct columns 0..{n - 1}, got {row.terms}"
+                )
 
 
 class LpStatus(Enum):
@@ -112,19 +127,7 @@ def constraint(
 def linear_program(
     objective: Iterable[RationalLike], constraints: Iterable[Constraint]
 ) -> LinearProgram:
-    obj = tuple(as_rational(c) for c in objective)
-    rows = tuple(constraints)
-    for row in rows:
-        _check_columns(row, len(obj))
-    return LinearProgram(obj, rows)
-
-
-def _check_columns(row: Constraint, n: int) -> None:
-    columns = {j for j, _ in row.terms}
-    if len(columns) != len(row.terms) or (columns and not 0 <= min(columns) <= max(columns) < n):
-        raise MatrixShapeError(
-            f"constraint terms must name distinct columns 0..{n - 1}, got {row.terms}"
-        )
+    return LinearProgram(tuple(as_rational(c) for c in objective), tuple(constraints))
 
 
 # --------------------------------------------------------------------------
@@ -442,7 +445,6 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
     n = len(program.objective)
     rows: list[Constraint] = []
     for row in program.constraints:
-        _check_columns(row, n)
         if any(a for _, a in row.terms):
             rows.append(row)
         elif not row.relation.holds(Fraction(0), row.rhs):

@@ -22,12 +22,14 @@ from reflecto import (
     is_s_matrix,
     subsets_lex,
 )
+from reflecto import classify
 from reflecto.tightness import build_system
 
 from _generators import (
     random_m_matrix,
     random_matrix,
     random_p_not_m_matrix,
+    random_rational,
     random_signed_rational,
     random_staircase_matrix,
 )
@@ -159,6 +161,94 @@ def test_p_matrix_matches_per_subset_determinants():
             failures[len(expected[1])] += 1
     assert sum(failures.values()) >= 500
     assert max(failures) == 7
+    # structured families, where the walk first visits only interval minors
+    structured = (_symmetric_shrunk, _upper_hessenberg_shrunk, _lower_triangular_pivot)
+    outcomes = Counter()
+    for i in range(900):
+        family = i % len(structured)
+        M = structured[family](rng, 1 + (i // len(structured)) % 7)
+        expected = _per_subset_p_test(M)
+        assert is_p_matrix(M) == expected
+        outcomes[family, expected[0]] += 1
+    for family in range(len(structured)):
+        assert outcomes[family, True] >= 30 and outcomes[family, False] >= 30
+    # tridiagonal: the first failing interval is (3, 4), but the gapped subset
+    # (1, 3, 4) comes before it in lex order, and only the full walk finds it
+    tridiagonal = RatMatrix([[2, 0, 0, 0], [0, 1, -2, 0], [0, 1, 1, -2], [0, 0, -2, 2]])
+    assert _per_subset_p_test(tridiagonal) == is_p_matrix(tridiagonal) == (False, (1, 3, 4))
+
+
+def _shrunk_diagonal(rng, rows):
+    """Set each diagonal entry to its row's absolute sum times a factor in (0, 3/2].
+
+    A factor above 1 makes the row strictly dominant; below it, minors can fail.
+    """
+    for i, row in enumerate(rows):
+        row[i] = 0
+        row[i] = (sum(abs(v) for v in row) + 1) * Fraction(rng.randint(1, 12), 8)
+    return RatMatrix(rows)
+
+
+def _symmetric_shrunk(rng, d):
+    """Symmetric, mixed-sign off-diagonal entries: definite or indefinite."""
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i):
+            rows[i][j] = rows[j][i] = random_signed_rational(rng)
+    return _shrunk_diagonal(rng, rows)
+
+
+def _upper_hessenberg_shrunk(rng, d):
+    """Zeros below the first subdiagonal, mixed signs elsewhere."""
+    rows = [
+        [random_signed_rational(rng) if i <= j + 1 else Fraction(0) for j in range(d)]
+        for i in range(d)
+    ]
+    return _shrunk_diagonal(rng, rows)
+
+
+def _lower_triangular_pivot(rng, d):
+    """Lower triangular; half the time one diagonal entry is zero or negative."""
+    rows = [
+        [random_signed_rational(rng) if j < i else Fraction(0) for j in range(d)]
+        for i in range(d)
+    ]
+    for i in range(d):
+        rows[i][i] = random_rational(rng)
+    if rng.random() < 0.5:
+        k = rng.randrange(d)
+        rows[k][k] = -random_rational(rng) if rng.random() < 0.5 else Fraction(0)
+    return RatMatrix(rows)
+
+
+def test_structured_p_matrices_visit_only_interval_minors(monkeypatch):
+    # each recursive call below the top level is one positive principal minor
+    visited = Counter()
+    walk = classify._first_nonpositive_minor
+
+    def counted(block, prefix, *args, **kwargs):
+        visited["minors"] += bool(prefix)
+        return walk(block, prefix, *args, **kwargs)
+
+    monkeypatch.setattr(classify, "_first_nonpositive_minor", counted)
+    rng = random.Random(14)
+    d = 12
+    symmetric = _gram(rng, d, d) + RatMatrix.identity(d)
+    cases = {
+        "z": (random_m_matrix(rng, d), 78),
+        "symmetric": (symmetric, 78),
+        "staircase": (random_staircase_matrix(rng, d), 78),
+        "dense": (random_p_not_m_matrix(rng, d), 4095),
+    }
+    for name, (M, minors) in cases.items():
+        visited.clear()
+        assert is_p_matrix(M) == (True, None), name
+        assert visited["minors"] == minors, name
+    # definiteness walks the intervals of the symmetric part, whatever M is
+    for M in (symmetric, symmetric + _random_skew(rng, d)):
+        visited.clear()
+        assert is_positive_definite(M)
+        assert visited["minors"] == 78
 
 
 def test_p_matrix_computes_no_determinant(monkeypatch):
