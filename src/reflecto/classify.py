@@ -17,10 +17,10 @@ regardless of any internal evaluation order.  The P-test visits the subsets in
 that order with one fraction-free elimination step per subset: it never forms
 a principal submatrix or calls ``RatMatrix.det``, so each minor costs O(d^2)
 integer operations (see ``is_p_matrix``).  When the entries make the matrix
-a Z-matrix, symmetric or Hessenberg, the d(d+1)/2 minors on intervals
-{i..j} decide the P-property, and the walk visits those alone unless one of
-them fails.  Positive definiteness is that interval walk on the symmetric
-part, so no test here computes a determinant.
+a Z-matrix or Hessenberg, the d(d+1)/2 minors on intervals {i..j} decide
+the P-property, and the walk visits those alone unless one of them fails.
+Positive definiteness is the same interval walk on the symmetric part,
+whose leading minors decide it, so no test here computes a determinant.
 """
 
 from __future__ import annotations
@@ -101,14 +101,12 @@ def is_p_matrix(matrix: RatMatrix) -> tuple[bool, Optional[tuple[int, ...]]]:
     recursive test for P-matrices", BIT 40, 2000).  A subset costs O(d^2)
     integer operations, and the walk stops at the first nonpositive minor.
 
-    For three structures the d(d+1)/2 interval minors det A[{i..j}] already
+    For two structures the d(d+1)/2 interval minors det A[{i..j}] already
     decide the question, and the walk first visits only those:
 
     * a Z-matrix (off-diagonal entries <= 0) with positive leading minors is
       a nonsingular M-matrix, hence P (Fiedler and Ptak, Czech. Math. J. 12,
       1962);
-    * a symmetric matrix with positive leading minors is positive definite,
-      hence P (Sylvester's criterion);
     * in an upper Hessenberg matrix (A_ij = 0 for i > j + 1) or a lower one,
       A[S] is block triangular over the runs of consecutive indices in S, so
       det A[S] is a product of interval minors.
@@ -131,11 +129,10 @@ def is_p_matrix(matrix: RatMatrix) -> tuple[bool, Optional[tuple[int, ...]]]:
 
 
 def _intervals_decide_p(matrix: RatMatrix) -> bool:
-    """Z-matrix, symmetric, or upper or lower Hessenberg (see ``is_p_matrix``)."""
+    """Z-matrix, or upper or lower Hessenberg (see ``is_p_matrix``)."""
     d, at = matrix.rows, matrix.at
     return (
         _nonpositive_off_diagonal(matrix)
-        or all(at(i, j) == at(j, i) for i in range(d) for j in range(i))
         or all(at(i, j) == 0 for i in range(d) for j in range(i - 1))
         or all(at(j, i) == 0 for i in range(d) for j in range(i - 1))
     )
@@ -185,9 +182,9 @@ def is_positive_definite(matrix: RatMatrix) -> bool:
     exactly when its leading minors are positive (Sylvester's criterion;
     Horn and Johnson, Matrix Analysis, Thm 7.2.5).  M + M' is scaled to
     integers by one lcm of all denominators, which keeps it symmetric, and
-    the interval walk of ``is_p_matrix`` decides it: its leading minors come
-    first, and it stops at the first nonpositive interval minor.  Like every
-    subset test it refuses d > DEFAULT_DIMENSION_CAP.
+    the interval walk of ``is_p_matrix`` decides it: its leading minors are
+    among the intervals, and the walk stops at the first nonpositive one.
+    Like every class test it refuses d > DEFAULT_DIMENSION_CAP.
     """
     d = _require_square(matrix)
     _check_cap(d)

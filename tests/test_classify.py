@@ -233,11 +233,11 @@ def test_structured_p_matrices_visit_only_interval_minors(monkeypatch):
     monkeypatch.setattr(classify, "_first_nonpositive_minor", counted)
     rng = random.Random(14)
     d = 12
-    symmetric = _gram(rng, d, d) + RatMatrix.identity(d)
+    staircase = random_staircase_matrix(rng, d)
     cases = {
         "z": (random_m_matrix(rng, d), 78),
-        "symmetric": (symmetric, 78),
-        "staircase": (random_staircase_matrix(rng, d), 78),
+        "upper hessenberg": (staircase, 78),
+        "lower hessenberg": (staircase.transpose(), 78),
         "dense": (random_p_not_m_matrix(rng, d), 4095),
     }
     for name, (M, minors) in cases.items():
@@ -245,6 +245,7 @@ def test_structured_p_matrices_visit_only_interval_minors(monkeypatch):
         assert is_p_matrix(M) == (True, None), name
         assert visited["minors"] == minors, name
     # definiteness walks the intervals of the symmetric part, whatever M is
+    symmetric = _gram(rng, d, d) + RatMatrix.identity(d)
     for M in (symmetric, symmetric + _random_skew(rng, d)):
         visited.clear()
         assert is_positive_definite(M)
