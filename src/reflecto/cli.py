@@ -105,8 +105,6 @@ def _load_matrix_file(path: str) -> tuple[RatMatrix, Optional[tuple]]:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ReflectoError("'matrix' must be a list of rows, each a list of entries")
     matrix = RatMatrix([[parse_rational(str(v)) for v in row] for row in rows])
-    if not matrix.is_square:
-        raise ReflectoError("matrix must be square")
     b = None
     if "b" in data and data["b"] is not None:
         if not isinstance(data["b"], list):
@@ -117,15 +115,6 @@ def _load_matrix_file(path: str) -> tuple[RatMatrix, Optional[tuple]]:
         if any(v <= 0 for v in b):
             raise ReflectoError("b entries must be positive")
     return matrix, b
-
-
-def _parse_b(text: str, dimension: int) -> tuple:
-    values = parse_rational_csv(text)
-    if len(values) != dimension:
-        raise ReflectoError(f"--b needs {dimension} entries, got {len(values)}")
-    if any(v <= 0 for v in values):
-        raise ReflectoError("--b entries must be positive")
-    return values
 
 
 def _matrix_json(matrix: Optional[RatMatrix]):
@@ -270,7 +259,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         R = derived.reflection
         report["classification"] = _classification_json(R)
-        b = None if args.b is None else _parse_b(args.b, R.rows)
+        b = None if args.b is None else parse_rational_csv(args.b)
         report["tightness"] = _tightness_json(R, b, args.samples, args.seed)
     return report, 0
 
@@ -287,7 +276,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_tight(args: argparse.Namespace) -> tuple[dict, int]:
     matrix, file_b = _load_matrix_file(args.matrix)
-    b = file_b if args.b is None else _parse_b(args.b, matrix.rows)
+    b = file_b if args.b is None else parse_rational_csv(args.b)
     document = {
         "command": "tight",
         "matrix": matrix.to_strings(),
@@ -313,16 +302,16 @@ def _cmd_reentrant(args: argparse.Namespace) -> tuple[Optional[dict], int]:
 def _cmd_witness(args: argparse.Namespace) -> tuple[dict, int]:
     matrix, file_b = _load_matrix_file(args.matrix)
     if args.b is not None:
-        b = _parse_b(args.b, matrix.rows)
+        b = parse_rational_csv(args.b)
     elif file_b is not None:
         b = file_b
     else:
         b = tuple(Fraction(1) for _ in range(matrix.rows))
+    system = build_system(matrix, b)  # checks the matrix and b before the table is read
     table = read_json(args.witness)
     if not isinstance(table, dict):
         raise ReflectoError("witness file must be a JSON object of key/value strings")
-    assignment = assignment_from_table(table, matrix.rows)
-    report = verify_assignment(build_system(matrix, b), assignment)
+    report = verify_assignment(system, assignment_from_table(table, matrix.rows))
     document = {
         "command": "witness",
         "ok": report.ok,

@@ -115,9 +115,6 @@ class RatMatrix:
             ]
         )
 
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-v for v in row] for row in self._rows])
-
     def scale(self, factor: RationalLike) -> "RatMatrix":
         f = as_rational(factor)
         return RatMatrix([[f * v for v in row] for row in self._rows])

@@ -92,19 +92,21 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     if not 1 <= d <= max(K, 1):
         issues.append(("stations", f"need 1 <= stations <= classes, got {d} and {K}"))
     if len(spec.station_of_class) != K:
-        issues.append(("station_of_class", f"expected {K} entries"))
-    elif any(not 1 <= s <= d for s in spec.station_of_class):
-        issues.append(("station_of_class", f"station indices must lie in 1..{d}"))
+        issues.append(
+            ("station_of_class", f"expected {K} entries, got {len(spec.station_of_class)}")
+        )
+    elif outside := sorted({s for s in spec.station_of_class if not 1 <= s <= d}):
+        issues.append(("station_of_class", f"station indices must lie in 1..{d}, got {outside}"))
     elif d <= K:  # d > K is reported above, without one line per empty station
         for i in range(1, d + 1):
             if not spec.classes_at(i):
                 issues.append(("station_of_class", f"station {i} serves no class"))
     if len(spec.service_means) != K:
-        issues.append(("service_means", f"expected {K} entries"))
+        issues.append(("service_means", f"expected {K} entries, got {len(spec.service_means)}"))
     elif any(m <= 0 for m in spec.service_means):
         issues.append(("service_means", "mean service times must be positive"))
     if len(spec.arrival_rates) != K:
-        issues.append(("arrival_rates", f"expected {K} entries"))
+        issues.append(("arrival_rates", f"expected {K} entries, got {len(spec.arrival_rates)}"))
     elif any(rate < 0 for rate in spec.arrival_rates):
         issues.append(("arrival_rates", "arrival rates must be nonnegative"))
     if len(spec.priority) != K or sorted(spec.priority) != list(range(1, K + 1)):
@@ -443,34 +445,15 @@ def reentrant_spec(
 
     ``route[k-1]`` is the station visited at step k; class k is the k-th
     visit.  Routing sends class k to class k+1 with probability one, and only
-    class 1 receives outside arrivals.
+    class 1 receives outside arrivals.  The stations are 1..max(route), and
+    ``validate_spec`` reports every other fault under the network-document
+    field it breaks: ``station_of_class`` (or ``stations``, for more stations
+    than visits) for the route, ``service_means`` and ``arrival_rates``.
     """
     disc = discipline if isinstance(discipline, Discipline) else Discipline(discipline.lower())
     K = len(route)
     if K == 0:
         raise SpecValidationError((("route", "route must be nonempty"),))
-    if len(means) != K:
-        raise SpecValidationError(
-            (("service_means", f"expected {K} entries matching the route"),)
-        )
-    out_of_range = sorted({s for s in route if s < 1})
-    if out_of_range:
-        raise SpecValidationError(
-            (("route", f"station indices must be at least 1, got {out_of_range}"),)
-        )
-    d = max(route)
-    if d > K:
-        raise SpecValidationError(
-            (("route", f"a route of {K} visits cannot cover stations 1..{d}"),)
-        )
-    missing = [i for i in range(1, d + 1) if i not in route]
-    if missing:
-        raise SpecValidationError(
-            (("route", f"stations must cover 1..{d} with no gaps, missing {missing}"),)
-        )
-    rate = as_rational(arrival_rate)
-    if rate < 0:
-        raise SpecValidationError((("arrival_rate", "arrival rate must be nonnegative"),))
 
     rows = [[Fraction(0)] * K for _ in range(K)]
     for k in range(K - 1):
@@ -481,11 +464,11 @@ def reentrant_spec(
         priority = tuple(K + 1 - k for k in range(1, K + 1))
     spec = NetworkSpec(
         class_count=K,
-        station_count=d,
+        station_count=max(route),
         station_of_class=tuple(route),
         routing=RatMatrix(rows),
         service_means=as_rational_vector(means),
-        arrival_rates=(rate,) + (Fraction(0),) * (K - 1),
+        arrival_rates=(as_rational(arrival_rate),) + (Fraction(0),) * (K - 1),
         priority=priority,
     )
     require_valid(spec)

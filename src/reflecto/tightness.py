@@ -157,7 +157,9 @@ def _check_inputs(reflection: RatMatrix, b: Sequence[RationalLike]) -> tuple[Rat
     _check_cap(reflection.rows)
     scale = tuple(as_rational(v) for v in b)
     if len(scale) != reflection.rows:
-        raise MatrixShapeError("b must have one entry per coordinate")
+        raise MatrixShapeError(
+            f"b has {len(scale)} entries for a {reflection.rows}x{reflection.rows} matrix"
+        )
     if any(v <= 0 for v in scale):
         raise MatrixShapeError("b must be strictly positive")
     return scale

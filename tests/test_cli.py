@@ -288,6 +288,60 @@ def test_tight_rejects_nonpositive_b(matrix_file):
     assert main(["tight", matrix_file, "--b", "1,0,1"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "SPEC", "--b", "1,1"], "b has 2 entries for a 3x3 matrix"),
+        (["tight", "MATRIX", "--b", "1,1,1,1"], "b has 4 entries for a 3x3 matrix"),
+        (["witness", "MATRIX", "WITNESS", "--b", "1,1"], "b has 2 entries for a 3x3 matrix"),
+        (["analyze", "SPEC", "--b", "1,-1,1"], "b must be strictly positive"),
+        (["tight", "MATRIX", "--b", "1,0,1"], "b must be strictly positive"),
+        (["witness", "MATRIX", "WITNESS", "--b", "0,1,1"], "b must be strictly positive"),
+        (["classify", "RECT"], "classification requires a square matrix"),
+        (["tight", "RECT"], "classification requires a square matrix"),
+        (["tight", "RECT", "--b", "1,1,1"], "the reflection matrix must be square"),
+        (["witness", "RECT", "WITNESS"], "the reflection matrix must be square"),
+        (["classify", "SHORT_B"], "b must have one entry per matrix row"),
+    ],
+    ids=[
+        "analyze-b-length",
+        "tight-b-length",
+        "witness-b-length",
+        "analyze-b-sign",
+        "tight-b-sign",
+        "witness-b-sign",
+        "classify-non-square",
+        "tight-non-square",
+        "tight-b-non-square",
+        "witness-non-square",
+        "classify-file-b-length",
+    ],
+)
+def test_bad_b_and_shape_exit_one(
+    argv, message, spec_file, matrix_file, tmp_path, capsys
+):
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(WITNESS_TABLE))
+    rect = tmp_path / "rect.json"
+    rect.write_text(json.dumps({"matrix": [row[:2] for row in REFLECTION_ROWS]}))
+    short_b = tmp_path / "short-b.json"
+    short_b.write_text(json.dumps({"matrix": REFLECTION_ROWS, "b": ["1", "1"]}))
+    paths = {
+        "SPEC": spec_file,
+        "MATRIX": matrix_file,
+        "WITNESS": str(witness),
+        "RECT": str(rect),
+        "SHORT_B": str(short_b),
+    }
+    capsys.readouterr()
+    assert main([paths.get(arg, arg) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_tight_decision_identity(tmp_path, capsys):
     path = tmp_path / "identity.json"
     path.write_text(json.dumps({"matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}))
@@ -499,8 +553,13 @@ def test_tight_refuses_lp_above_dimension_cap(tmp_path, capsys):
 
 
 def test_reentrant_validation_failure(tmp_path, capsys):
-    # a station gap, a non-integer station and a fractional one
-    for route in ("1,3", "1,x", "1,,2.5"):
+    # a station gap, which the network validation reports under the document
+    # field it breaks, a non-integer station and a fractional one
+    for route, message in (
+        ("1,3", "stations: need 1 <= stations <= classes, got 3 and 2"),
+        ("1,x", "route must list integer stations"),
+        ("1,,2.5", "route must list integer stations"),
+    ):
         assert (
             main(
                 [
@@ -519,7 +578,7 @@ def test_reentrant_validation_failure(tmp_path, capsys):
             )
             == 1
         )
-        assert "route" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_human_readable_analyze(spec_file, capsys):

@@ -228,6 +228,55 @@ def test_validation_reports_too_many_stations_once():
     )
 
 
+@pytest.mark.parametrize(
+    "changes, issues",
+    [
+        (
+            {"class_count": 0},
+            (
+                ("classes", "need at least one class"),
+                ("station_of_class", "expected 0 entries, got 2"),
+                ("service_means", "expected 0 entries, got 2"),
+                ("arrival_rates", "expected 0 entries, got 2"),
+                ("priority", "priorities must be a bijection on 1..0"),
+                ("routing", "routing matrix must be 0x0"),
+            ),
+        ),
+        ({"station_of_class": (1,)}, (("station_of_class", "expected 2 entries, got 1"),)),
+        (
+            {"station_of_class": (1, 2)},
+            (("station_of_class", "station indices must lie in 1..1, got [2]"),),
+        ),
+        (
+            {"station_of_class": (0, -1)},
+            (("station_of_class", "station indices must lie in 1..1, got [-1, 0]"),),
+        ),
+        ({"service_means": (Fraction(1),)}, (("service_means", "expected 2 entries, got 1"),)),
+        (
+            {"arrival_rates": (Fraction(-1, 4), Fraction(0))},
+            (("arrival_rates", "arrival rates must be nonnegative"),),
+        ),
+        ({"routing": RatMatrix([[0]])}, (("routing", "routing matrix must be 2x2"),)),
+        (
+            {"routing": RatMatrix([[0, -1], [0, 0]])},
+            (("routing", "row 1 has a negative entry"),),
+        ),
+    ],
+    ids=[
+        "no-classes",
+        "station-count",
+        "station-above-range",
+        "station-below-range",
+        "means-count",
+        "negative-arrival",
+        "routing-shape",
+        "negative-routing",
+    ],
+)
+def test_validation_issue_messages(changes, issues):
+    assert validate_spec(replace(_base_spec(), **changes)).issues == issues
+
+
 def _random_routing(rng, K):
     """Substochastic rows mixing zero rows, self-loops, leaky rows, a closed
     set of classes (often a cycle) and classes that only feed that set."""
@@ -616,14 +665,14 @@ def test_reentrant_route_must_cover_stations():
     for route, bad in (([1, 0, 2], "[0]"), ([-1, 1], "[-1]")):
         with pytest.raises(SpecValidationError) as caught:
             reentrant_spec(route, [1] * len(route), Fraction(1), "fbfs")
-        assert f"at least 1, got {bad}" in str(caught.value)
+        assert f"must lie in 1..{max(route)}, got {bad}" in str(caught.value)
     with pytest.raises(SpecValidationError):
         reentrant_spec([], [], Fraction(1), "fbfs")
     with pytest.raises(SpecValidationError):
         reentrant_spec([1, 2], [1], Fraction(1), "fbfs")
     # a station index far above the route length is refused without a
     # scan of every station up to it
-    with pytest.raises(SpecValidationError, match="route of 1 visits cannot cover"):
+    with pytest.raises(SpecValidationError, match="stations <= classes, got 100000 and 1"):
         reentrant_spec([10**5], [1], Fraction(1), "fbfs")
 
 
