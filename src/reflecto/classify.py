@@ -51,8 +51,10 @@ def subsets_lex(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _require_square(matrix: RatMatrix) -> int:
+    """The dimension of a square matrix; the one shape check of every
+    classification and tightness entry point."""
     if not matrix.is_square:
-        raise MatrixShapeError("classification requires a square matrix")
+        raise MatrixShapeError(f"the matrix must be square, got {matrix.rows}x{matrix.cols}")
     return matrix.rows
 
 

@@ -258,9 +258,12 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, int]:
         report["tightness"] = None
     else:
         R = derived.reflection
-        report["classification"] = _classification_json(R)
         b = None if args.b is None else parse_rational_csv(args.b)
-        report["tightness"] = _tightness_json(R, b, args.samples, args.seed)
+        # The tightness block runs first, so the library refuses a bad --b
+        # before R is classified; the document keeps its key order.
+        tightness = _tightness_json(R, b, args.samples, args.seed)
+        report["classification"] = _classification_json(R)
+        report["tightness"] = tightness
     return report, 0
 
 

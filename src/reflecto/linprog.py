@@ -12,18 +12,37 @@ view of a row; Chvatal, *Linear Programming*, 1983, ch. 7), so the ratio test
 derives its entry in the entering column, and its rhs, from the stored rows
 of the basic unknowns it names.  A box row x_k <= u or a monotonicity row
 x_a >= x_b names one or two.  When such a row is picked to leave the basis
-it is derived in full and stored from then on.  Pricing is Dantzig
-with least-index tie-breaks, switching to Bland's least-index rule after a
-fixed run of degenerate pivots; the leaving row breaks ratio ties by least
-basic-variable index.  This makes the solver deterministic (identical runs
-agree bit for bit) and immune to cycling.
+it is derived in full and stored from then on.
+
+Pricing is Dantzig's rule: the most negative reduced cost, least column
+index on ties.  The ratio test breaks ties by least basic-variable index,
+except late in a long degenerate run.  Once ``_DEGENERATE_FALLBACK`` pivots
+in a row leave the objective unchanged, the basic variables at that point
+become the reference basis.  Until the next pivot that changes the
+objective, a tie goes to the row that is lexicographically least in its
+entries on the reference columns, each over its entry in the entering
+column (Dantzig, Orden & Wolfe, 1955; Chvatal, ch. 3).  That rule cannot
+cycle.  The rows of (rhs, B^-1 B_ref) start as a nonnegative column beside
+a permuted identity, and the rule keeps every row lexicographically
+positive, so no basis repeats within a run.  A run ends only at the optimum
+or with a pivot that lowers the objective, so no later run revisits its
+bases.  Short runs, the common case, pivot exactly as they would without
+the rule.
+
+The reference columns are compared from the highest column index down.
+While the tied rows' basic variables are still reference columns, the
+tie then goes to the least basic-variable index, as outside a run, so rows
+whose slack is basic, which are unstored, keep their slack.  Compared in
+row order, the rule picked such rows, which then had to be stored and
+rewritten by every later pivot; that made the tightness LP of a d = 7
+M-matrix several times slower.
 
 Every pivot choice reads the rational tableau, never its integer scaling:
 pricing compares entries inside the cost row, which has one positive
-denominator; the ratio test compares rhs / entry within each row, where the
-row's denominator, or a derived row's scale, cancels; and the degeneracy test compares exact rationals.
-So the pivot sequence depends only on the program, not on how rows are
-stored or reduced.
+denominator; the ratio test and its tie-breaks compare entries within each
+row, where the row's denominator, or a derived row's scale, cancels; and the
+degeneracy test compares exact rationals.  So the pivot sequence depends
+only on the program, not on how rows are stored or reduced.
 
 Programs are in standard form: every variable is nonnegative, and any other
 bound, such as x_k <= 1, is an ordinary constraint row.  A row stores only its
@@ -298,71 +317,107 @@ class _Tableau:
             L //= g
         return row, L
 
-    def _entering(self, cost_row: dict[int, int], bland: bool) -> Optional[int]:
+    def _entering(self, cost_row: dict[int, int]) -> Optional[int]:
         candidates = [
             (v, j) for j, v in cost_row.items() if v < 0 and j < self.art_start
         ]
-        if not candidates:
-            return None
-        if bland:
-            return min(j for _, j in candidates)
-        return min(candidates)[1]
+        return min(candidates)[1] if candidates else None
 
-    def _leaving(self, c: int) -> Optional[int]:
+    def _leaving(self, c: int, reference: Optional[list[int]]) -> Optional[int]:
+        """The row with the least ratio rhs / entry over the entries > 0 in column c.
+
+        Ties go to the least basic-variable index or, when a ``reference``
+        basis is given, to ``_lex_least``.
+        """
         best_row = None
         best_num = 0
         best_den = 1
+        ties = None  # under a reference: {row: entry in column c} at the least ratio
         rc = self.rhs_col
         T, den, where, unstored = self.T, self.den, self.where, self.unstored
         for i in range(self.m):
             if i in unstored:
-                # The entry in column c and the rhs of the unstored row, each
-                # over the product of its basic unknowns' row denominators.
                 terms, num = unstored[i]
-                a, scale = 0, 1
-                for j, t in terms:
-                    r = where.get(j)
-                    if r is None:
-                        if j == c:
-                            a += t * scale
-                    else:
-                        a = a * den[r] - t * scale * T[r].get(c, 0)
-                        scale *= den[r]
+                a = _unstored_entry(terms, 0, c, T, den, where)
                 if a <= 0:
                     continue
-                scale = 1
-                for j, t in terms:
-                    r = where.get(j)
-                    if r is not None:
-                        num = num * den[r] - t * scale * T[r].get(rc, 0)
-                        scale *= den[r]
+                num = _unstored_entry(terms, num, rc, T, den, where)
             else:
                 row = T[i]
                 a = row.get(c, 0)
                 if a <= 0:
                     continue
                 num = row.get(rc, 0)
-            if best_row is None or num * best_den < best_num * a or (
-                num * best_den == best_num * a and self.basis[i] < self.basis[best_row]
-            ):
+            if best_row is None or num * best_den < best_num * a:
                 best_row = i
                 best_num = num
                 best_den = a
-        return best_row
+                ties = None
+            elif num * best_den == best_num * a:
+                if reference is not None:
+                    if ties is None:
+                        ties = {best_row: best_den}
+                    ties[i] = a
+                elif self.basis[i] < self.basis[best_row]:
+                    best_row = i
+                    best_num = num
+                    best_den = a
+        return best_row if ties is None else self._lex_least(ties, reference)
+
+    def _lex_least(self, tied: dict[int, int], reference: list[int]) -> int:
+        """Break a ratio tie between rows, given as ``{row: entry in the entering column}``.
+
+        For each reference column in turn, keep the tied rows whose entry
+        there over their entry in the entering column is least, until one
+        row is left.  These entries are the rows of B^-1 B_ref, which is
+        nonsingular, so no two rows stay tied through every column.
+        """
+        T, den, where, unstored = self.T, self.den, self.where, self.unstored
+        for col in reference:
+            r = where.get(col)
+            if r is not None:
+                # A basic column is a unit column: its one nonzero entry is 1,
+                # in row r, so every other tied row's ratio there is 0.
+                tied.pop(r, None)
+            else:
+                ratios = {
+                    i: (
+                        _unstored_entry(unstored[i][0], 0, col, T, den, where)
+                        if i in unstored
+                        else T[i].get(col, 0),
+                        a,
+                    )
+                    for i, a in tied.items()
+                }
+                low_num, low_den = min(ratios.values(), key=lambda ratio: Fraction(*ratio))
+                tied = {
+                    i: a for i, (num, a) in ratios.items() if num * low_den == low_num * a
+                }
+            if len(tied) == 1:
+                return next(iter(tied))
+        raise InternalInconsistencyError("lexicographic ratio test left a tie")
 
     def run_phase(self, cost_index: int, stop_at_zero: bool) -> bool:
-        """Pivot until optimal; False when a column can improve without limit."""
+        """Pivot until optimal; False when a column can improve without limit.
+
+        After ``_DEGENERATE_FALLBACK`` degenerate pivots in a row, the basic
+        variables at that point, from the highest column index down, become
+        the reference basis of the lexicographic ratio test until the next
+        nondegenerate pivot.
+        """
         degenerate_streak = 0
+        reference: Optional[list[int]] = None
         pivots = 0
         while True:
             value = self.T[cost_index].get(self.rhs_col, 0)
             if stop_at_zero and value == 0:
                 return True
-            bland = degenerate_streak >= _DEGENERATE_FALLBACK
-            col = self._entering(self.T[cost_index], bland)
+            if degenerate_streak == _DEGENERATE_FALLBACK:
+                reference = sorted(self.basis, reverse=True)
+            col = self._entering(self.T[cost_index])
             if col is None:
                 return True
-            row = self._leaving(col)
+            row = self._leaving(col, reference)
             if row is None:
                 return False
             if row in self.unstored:
@@ -375,6 +430,7 @@ class _Tableau:
                 degenerate_streak += 1
             else:
                 degenerate_streak = 0
+                reference = None
             pivots += 1
             if pivots > _MAX_PIVOTS:
                 raise InternalInconsistencyError("pivot limit exceeded")
@@ -430,6 +486,36 @@ class _Tableau:
             -self.T[self.cost_row].get(self.rhs_col, 0),
             self.den[self.cost_row] * self.obj_scale,
         )
+
+
+def _unstored_entry(
+    terms: tuple[tuple[int, int], ...],
+    value: int,
+    c: int,
+    T: list[dict[int, int]],
+    den: list[int],
+    where: dict[int, int],
+) -> int:
+    """Entry in nonbasic column c of the unstored row with original ``terms``.
+
+    Each basic unknown the row names is substituted from its stored row.
+    ``value`` is the row's own entry in column c outside its terms: 0, or
+    its rhs when c is the rhs column.  The result is the entry times the
+    product of the denominators of the substituted rows.  That scale does
+    not depend on c, so two entries of one row compare as rationals.  It
+    takes the tableau's lists as arguments, not ``self``: the ratio test
+    calls it for every unstored row, where attribute lookups cost time.
+    """
+    scale = 1
+    for j, t in terms:
+        r = where.get(j)
+        if r is None:
+            if j == c:
+                value += t * scale
+        else:
+            value = value * den[r] - t * scale * T[r].get(c, 0)
+            scale *= den[r]
+    return value
 
 
 # --------------------------------------------------------------------------

@@ -46,7 +46,13 @@ from functools import lru_cache
 from itertools import chain, combinations
 from typing import Mapping, Optional, Sequence
 
-from .classify import TwoByTwoCase, _check_cap, classify_matrix, classify_two_by_two
+from .classify import (
+    TwoByTwoCase,
+    _check_cap,
+    _require_square,
+    classify_matrix,
+    classify_two_by_two,
+)
 from .errors import (
     DimensionCapError,
     InternalInconsistencyError,
@@ -63,7 +69,7 @@ from .rational import Rational, RationalLike, as_rational, format_rational, pars
 # Largest d for which check_tight_system runs its LP: about 16 s at d = 7 on
 # a random M-matrix at b = 1 (README, "Practical sizes"), almost all of it in
 # pivots, where the time grows 15-20x per dimension from d = 5; non-M inputs
-# take far longer (11-18 s at d = 5, against 0.06 s for that M-matrix);
+# take longer (about 1 s at d = 5, against 0.06 s for that M-matrix);
 # extrapolated, d = 8 would take minutes even on M-matrices.
 LP_DIMENSION_CAP = 7
 
@@ -152,9 +158,7 @@ class TightnessSystem:
 
 
 def _check_inputs(reflection: RatMatrix, b: Sequence[RationalLike]) -> tuple[Rational, ...]:
-    if not reflection.is_square:
-        raise MatrixShapeError("the reflection matrix must be square")
-    _check_cap(reflection.rows)
+    _check_cap(_require_square(reflection))
     scale = tuple(as_rational(v) for v in b)
     if len(scale) != reflection.rows:
         raise MatrixShapeError(

@@ -297,10 +297,10 @@ def test_tight_rejects_nonpositive_b(matrix_file):
         (["analyze", "SPEC", "--b", "1,-1,1"], "b must be strictly positive"),
         (["tight", "MATRIX", "--b", "1,0,1"], "b must be strictly positive"),
         (["witness", "MATRIX", "WITNESS", "--b", "0,1,1"], "b must be strictly positive"),
-        (["classify", "RECT"], "classification requires a square matrix"),
-        (["tight", "RECT"], "classification requires a square matrix"),
-        (["tight", "RECT", "--b", "1,1,1"], "the reflection matrix must be square"),
-        (["witness", "RECT", "WITNESS"], "the reflection matrix must be square"),
+        (["classify", "RECT"], "the matrix must be square, got 3x2"),
+        (["tight", "RECT"], "the matrix must be square, got 3x2"),
+        (["tight", "RECT", "--b", "1,1,1"], "the matrix must be square, got 3x2"),
+        (["witness", "RECT", "WITNESS"], "the matrix must be square, got 3x2"),
         (["classify", "SHORT_B"], "b must have one entry per matrix row"),
     ],
     ids=[
@@ -340,6 +340,36 @@ def test_bad_b_and_shape_exit_one(
     assert captured.err.startswith("error:")
     assert message in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3)], ids=["3x2", "2x3"])
+def test_tight_non_square_gives_one_message_with_and_without_b(tmp_path, capsys, shape):
+    rows, cols = shape
+    path = tmp_path / "rect.json"
+    path.write_text(json.dumps({"matrix": [["1"] * cols for _ in range(rows)]}))
+    errors = []
+    for extra in ([], ["--b", ",".join(["1"] * rows)]):
+        capsys.readouterr()
+        assert main(["tight", str(path), *extra]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"error: the matrix must be square, got {rows}x{cols}\n"
+
+
+def test_analyze_refuses_b_before_classifying(spec_file, monkeypatch, capsys):
+    # The 3-station line's R is 3x3: a 2-entry --b is refused by the
+    # tightness check, and R is never classified.
+    calls = []
+
+    def spy(matrix):
+        calls.append(matrix)
+        raise AssertionError("classify_matrix ran")
+
+    monkeypatch.setattr(reflecto.cli, "classify_matrix", spy)
+    monkeypatch.setattr(reflecto.tightness, "classify_matrix", spy)
+    capsys.readouterr()
+    assert main(["analyze", spec_file, "--b", "1,1"]) == 1
+    assert capsys.readouterr().err == "error: b has 2 entries for a 3x3 matrix\n"
+    assert calls == []
 
 
 def test_tight_decision_identity(tmp_path, capsys):

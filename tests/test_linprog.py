@@ -158,20 +158,18 @@ def test_check_point_rejects_a_point_that_breaks_a_row():
 
 @pytest.fixture
 def kernel_log(monkeypatch):
-    """Record the pivots, pricing calls and row drops of every solve."""
-    log = {"pivots": [], "bland": [], "drops": []}
+    """Record the pivots, lexicographic tie-breaks and row drops of every solve."""
+    log = {"pivots": [], "lex": [], "drops": []}
     tableau = linprog._Tableau
-    pivot, entering, drop = tableau._pivot, tableau._entering, tableau.drop_artificials
+    pivot, lex_least, drop = tableau._pivot, tableau._lex_least, tableau.drop_artificials
 
     def spy_pivot(self, r, c):
         log["pivots"].append(self.T[r][c])
         pivot(self, r, c)
 
-    def spy_entering(self, cost_row, bland):
-        col = entering(self, cost_row, bland)
-        if bland and col is not None:
-            log["bland"].append(col)
-        return col
+    def spy_lex_least(self, tied, reference):
+        log["lex"].append(len(tied))
+        return lex_least(self, tied, reference)
 
     def spy_drop(self):
         rows = self.m
@@ -179,7 +177,7 @@ def kernel_log(monkeypatch):
         log["drops"].append(rows - self.m)
 
     monkeypatch.setattr(tableau, "_pivot", spy_pivot)
-    monkeypatch.setattr(tableau, "_entering", spy_entering)
+    monkeypatch.setattr(tableau, "_lex_least", spy_lex_least)
     monkeypatch.setattr(tableau, "drop_artificials", spy_drop)
     return log
 
@@ -213,9 +211,10 @@ def test_zero_level_artificial_leaves_on_negative_entry(kernel_log):
     assert kernel_log["drops"] == [0]
 
 
-def test_long_degenerate_run_switches_to_bland(kernel_log):
+def test_long_degenerate_run_breaks_ties_lexicographically(kernel_log):
     # x1 <= x2 <= ... <= x14 in the unit box: every pivot through the origin
-    # is degenerate, so pricing falls back to the least-index rule.
+    # is degenerate, so after _DEGENERATE_FALLBACK of them the ratio test
+    # breaks its ties on the reference basis.
     n = 14
     rows = [
         constraint([1 if k == i else -1 if k == i + 1 else 0 for k in range(n)], Relation.LE, 0)
@@ -227,7 +226,62 @@ def test_long_degenerate_run_switches_to_bland(kernel_log):
     assert outcome.optimum == -n
     assert outcome.solution == (Fraction(1),) * n
     assert len(kernel_log["pivots"]) > linprog._DEGENERATE_FALLBACK
-    assert kernel_log["bland"]
+    assert kernel_log["lex"]
+
+
+def _beale_program():
+    """Beale's cycling example (1955; Chvatal, *Linear Programming*, ch. 3).
+
+    Its two degenerate rows carry their slacks as columns 0 and 1, ahead of
+    x4..x7 in columns 2..5, so that a least-basic-index tie-break meets the
+    ties as the textbook's smallest-subscript rule does.  x6 <= 1 keeps its
+    own slack.
+    """
+    return linear_program(
+        [0, 0, Fraction(-3, 4), 20, Fraction(-1, 2), 6],
+        [
+            constraint([1, 0, Fraction(1, 4), -8, -1, 9], Relation.EQ, 0),
+            constraint([0, 1, Fraction(1, 2), -12, Fraction(-1, 2), 3], Relation.EQ, 0),
+            constraint([0, 0, 0, 0, 1, 0], Relation.LE, 1),
+        ],
+    )
+
+
+def test_beale_cycling_example_reaches_its_optimum(kernel_log):
+    # Dantzig pricing with least-index ties returns to the starting basis
+    # every 6 pivots.  After two laps the lexicographic tie-break decides
+    # the next two ties, and the second leaves the cycle.
+    outcome = lp_solve(_beale_program())
+    assert outcome.status is LpStatus.OPTIMAL
+    assert outcome.optimum == Fraction(-5, 4)
+    assert outcome.solution == (Fraction(3, 4), 0, 1, 0, 1, 0)
+    assert kernel_log["lex"] == [2, 2]
+    # 2 pivots move the artificials out, then 12 degenerate ones and 5 more.
+    assert len(kernel_log["pivots"]) == 2 + linprog._DEGENERATE_FALLBACK + 5
+
+
+def test_beale_cycling_example_cycles_without_the_tie_break(monkeypatch):
+    monkeypatch.setattr(linprog, "_DEGENERATE_FALLBACK", linprog._MAX_PIVOTS + 1)
+    monkeypatch.setattr(linprog, "_MAX_PIVOTS", 60)
+    with pytest.raises(InternalInconsistencyError, match="pivot limit"):
+        lp_solve(_beale_program())
+
+
+def test_hard_p_not_m_program_pivot_count_is_pinned(monkeypatch):
+    # This d = 5 system took 1,341 pivots when long degenerate runs switched
+    # to Bland's least-index pricing; the lexicographic tie-break takes 256.
+    pivots = []
+    pivot = linprog._Tableau._pivot
+
+    def spy_pivot(self, r, c):
+        pivots.append((r, c))
+        pivot(self, r, c)
+
+    monkeypatch.setattr(linprog._Tableau, "_pivot", spy_pivot)
+    verdict = check_tight_system(random_p_not_m_matrix(random.Random(7), 5), (1,) * 5)
+    assert not verdict.tight
+    assert verdict.optimum == Fraction(9495272740414719542, 300868934493777695)
+    assert len(pivots) == 256
 
 
 def _random_program(rng: random.Random):
@@ -335,7 +389,8 @@ def _solve_every_program():
 
     For every d, one M-matrix and one P-not-M matrix, each at b = 1 and at one
     sampled b.  The d = 5 P-not-M matrix is drawn from its own seed, whose two
-    LPs take 190 and 232 pivots; most d = 5 draws take 1,000-1,700.
+    LPs take 143 and 155 pivots; the draw of the shared stream takes 221 and
+    239 (1,021 and 1,651 under the former Bland fallback).
     """
     rng = random.Random(73)
     draws = [(rng, gen, d) for d in range(2, 6) for gen in (random_m_matrix, random_p_not_m_matrix)]
@@ -363,9 +418,9 @@ def test_pivot_sequence_is_pinned(monkeypatch):
     monkeypatch.setattr(linprog._Tableau, "_pivot", spy_pivot)
     for _ in _solve_every_program():
         pivots.append("|")
-    assert len(pivots) == 1116 + 76
+    assert len(pivots) == 933 + 76
     digest = hashlib.sha256(" ".join(pivots).encode()).hexdigest()
-    assert digest == "cb4d024e2d1bf2c7f3698491dc17ee5e62c233518f44054c89df56bdb7e561ba"
+    assert digest == "2f5bc815fa63be0b9709387b41f32566c7cceace543b4909144d0476337a0bf4"
 
 
 class _FullTableau(linprog._Tableau):
@@ -430,5 +485,5 @@ def test_derived_rows_equal_stored_rows(monkeypatch):
     monkeypatch.setattr(tableau, "drop_artificials", spy_drop)
     for _ in _solve_every_program():
         pass
-    assert checked["pivots"] == 1116
+    assert checked["pivots"] == 933
     assert checked["rows"] > 10 * checked["pivots"]
