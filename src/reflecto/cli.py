@@ -226,6 +226,7 @@ def _tightness_json(matrix: RatMatrix, b: Optional[tuple], samples: int, seed: i
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, int]:
+    b = None if args.b is None else parse_rational_csv(args.b)
     spec = load_spec(args.spec)
     derived = derive_matrices(spec)
 
@@ -258,9 +259,9 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, int]:
         report["tightness"] = None
     else:
         R = derived.reflection
-        b = None if args.b is None else parse_rational_csv(args.b)
-        # The tightness block runs first, so the library refuses a bad --b
-        # before R is classified; the document keeps its key order.
+        # The tightness block runs first, so the library refuses a --b of the
+        # wrong length or sign before R is classified; the document keeps its
+        # key order.
         tightness = _tightness_json(R, b, args.samples, args.seed)
         report["classification"] = _classification_json(R)
         report["tightness"] = tightness

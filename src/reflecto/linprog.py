@@ -15,34 +15,30 @@ x_a >= x_b names one or two.  When such a row is picked to leave the basis
 it is derived in full and stored from then on.
 
 Pricing is Dantzig's rule: the most negative reduced cost, least column
-index on ties.  The ratio test breaks ties by least basic-variable index,
-except late in a long degenerate run.  Once ``_DEGENERATE_FALLBACK`` pivots
-in a row leave the objective unchanged, the basic variables at that point
-become the reference basis.  Until the next pivot that changes the
-objective, a tie goes to the row that is lexicographically least in its
+index on ties.  The ratio test breaks ties lexicographically (Dantzig, Orden
+& Wolfe, 1955; Chvatal, ch. 3).  The basic variables when a phase starts,
+and again after every pivot that moves the objective, become the reference
+basis.  A tie goes to the row that is lexicographically least in its
 entries on the reference columns, each over its entry in the entering
-column (Dantzig, Orden & Wolfe, 1955; Chvatal, ch. 3).  That rule cannot
-cycle.  The rows of (rhs, B^-1 B_ref) start as a nonnegative column beside
-a permuted identity, and the rule keeps every row lexicographically
-positive, so no basis repeats within a run.  A run ends only at the optimum
-or with a pivot that lowers the objective, so no later run revisits its
-bases.  Short runs, the common case, pivot exactly as they would without
-the rule.
+column.  That rule cannot cycle.  The rows of (rhs, B^-1 B_ref) start as a
+nonnegative column beside a permuted identity, and the rule keeps every row
+lexicographically positive, so no basis repeats until the objective moves;
+the objective only falls, so no basis repeats at all.  It replaced Bland's
+least-index pricing, which took many small steps on long degenerate runs.
 
 The reference columns are compared from the highest column index down.
-While the tied rows' basic variables are still reference columns, the
-tie then goes to the least basic-variable index, as outside a run, so rows
-whose slack is basic, which are unstored, keep their slack.  Compared in
-row order, the rule picked such rows, which then had to be stored and
-rewritten by every later pivot; that made the tightness LP of a d = 7
-M-matrix several times slower.
+While the tied rows' basic variables are still reference columns, the tie
+then goes to the least basic-variable index, so rows whose slack is basic,
+which are unstored, keep their slack.  Compared in row order, the rule
+picked such rows, which then had to be stored and rewritten by every later
+pivot; that made the tightness LP of a d = 7 M-matrix several times slower.
 
 Every pivot choice reads the rational tableau, never its integer scaling:
 pricing compares entries inside the cost row, which has one positive
 denominator; the ratio test and its tie-breaks compare entries within each
-row, where the row's denominator, or a derived row's scale, cancels; and the
-degeneracy test compares exact rationals.  So the pivot sequence depends
-only on the program, not on how rows are stored or reduced.
+row, where the row's denominator, or a derived row's scale, cancels; and a
+pivot moves the objective when its row's rhs is not 0.  So the pivot
+sequence depends only on the program, not on how rows are stored or reduced.
 
 Programs are in standard form: every variable is nonnegative, and any other
 bound, such as x_k <= 1, is an ordinary constraint row.  A row stores only its
@@ -63,7 +59,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import InternalInconsistencyError, MatrixShapeError
 from .rational import Rational, RationalLike, as_rational
 
-_DEGENERATE_FALLBACK = 12
 _MAX_PIVOTS = 1_000_000
 
 
@@ -323,16 +318,15 @@ class _Tableau:
         ]
         return min(candidates)[1] if candidates else None
 
-    def _leaving(self, c: int, reference: Optional[list[int]]) -> Optional[int]:
+    def _leaving(self, c: int, reference: list[int]) -> Optional[int]:
         """The row with the least ratio rhs / entry over the entries > 0 in column c.
 
-        Ties go to the least basic-variable index or, when a ``reference``
-        basis is given, to ``_lex_least``.
+        Ties go to ``_lex_least`` on the ``reference`` basis.
         """
         best_row = None
         best_num = 0
         best_den = 1
-        ties = None  # under a reference: {row: entry in column c} at the least ratio
+        ties = None  # {row: entry in column c} at the least ratio
         rc = self.rhs_col
         T, den, where, unstored = self.T, self.den, self.where, self.unstored
         for i in range(self.m):
@@ -354,14 +348,9 @@ class _Tableau:
                 best_den = a
                 ties = None
             elif num * best_den == best_num * a:
-                if reference is not None:
-                    if ties is None:
-                        ties = {best_row: best_den}
-                    ties[i] = a
-                elif self.basis[i] < self.basis[best_row]:
-                    best_row = i
-                    best_num = num
-                    best_den = a
+                if ties is None:
+                    ties = {best_row: best_den}
+                ties[i] = a
         return best_row if ties is None else self._lex_least(ties, reference)
 
     def _lex_least(self, tied: dict[int, int], reference: list[int]) -> int:
@@ -400,20 +389,18 @@ class _Tableau:
     def run_phase(self, cost_index: int, stop_at_zero: bool) -> bool:
         """Pivot until optimal; False when a column can improve without limit.
 
-        After ``_DEGENERATE_FALLBACK`` degenerate pivots in a row, the basic
-        variables at that point, from the highest column index down, become
-        the reference basis of the lexicographic ratio test until the next
-        nondegenerate pivot.
+        The basic variables, from the highest column index down, are the
+        reference basis of the lexicographic ratio test.  They are taken when
+        the phase starts and again after every pivot that moves the
+        objective.  Under Dantzig pricing the entering column's reduced cost
+        is negative, so a pivot moves the objective exactly when its row's
+        rhs is positive.
         """
-        degenerate_streak = 0
-        reference: Optional[list[int]] = None
+        reference = sorted(self.basis, reverse=True)
         pivots = 0
         while True:
-            value = self.T[cost_index].get(self.rhs_col, 0)
-            if stop_at_zero and value == 0:
+            if stop_at_zero and self.T[cost_index].get(self.rhs_col, 0) == 0:
                 return True
-            if degenerate_streak == _DEGENERATE_FALLBACK:
-                reference = sorted(self.basis, reverse=True)
             col = self._entering(self.T[cost_index])
             if col is None:
                 return True
@@ -423,14 +410,10 @@ class _Tableau:
             if row in self.unstored:
                 self.T[row], self.den[row] = self._derived_row(row)
                 del self.unstored[row]
-            before = (value, self.den[cost_index])
+            moves = self.rhs_col in self.T[row]
             self._pivot(row, col)
-            after = (self.T[cost_index].get(self.rhs_col, 0), self.den[cost_index])
-            if before[0] * after[1] == after[0] * before[1]:
-                degenerate_streak += 1
-            else:
-                degenerate_streak = 0
-                reference = None
+            if moves:
+                reference = sorted(self.basis, reverse=True)
             pivots += 1
             if pivots > _MAX_PIVOTS:
                 raise InternalInconsistencyError("pivot limit exceeded")

@@ -388,14 +388,17 @@ def check_tight_system(
     so in y every row is homogeneous and gets rhs 0 without a second pass
     over its terms.  y = 0 is feasible, but the solver still enters each
     balance equality with an artificial variable and pivots it out before it
-    optimises.  Those pivots can be most of the pivot count
-    (80 of 93 on a d = 5 M-matrix at b = 1), but not of the time: over the 96
-    d = 4 inputs of the benchmark's certify-lp pool, the 3,543 phase-2 pivots
-    take 85% of the pivot time and the 3,072 pivot-outs 15%.  Each system row
-    becomes one sparse LP row over the columns of its own unknowns, and each
-    bound y_k <= 1 a one-term row; over that pool the pivots take about 84%
-    of this call, and building the system and the program, checking the
-    optimal point and verifying the witness the other 16%.  The witness is
+    optimises.  Those pivots can be most of the pivot count (80 of 93 on a
+    d = 5 M-matrix at b = 1), and their share of the time grows with d.
+    Over the 96 d = 4 inputs of the benchmark's certify-lp pool, the 2,287
+    phase-2 pivots take 79% of the pivot time and the 3,072 pivot-outs 21%.
+    On ``random_m_matrix(Random(1), 7)`` at b = 1, the 448 pivot-outs take
+    11.2 s of an 11.7 s call and the 71 phase-2 pivots 0.4 s (one run,
+    Python 3.11.7, shared 2-vCPU Intel Xeon).  Each system row becomes one
+    sparse LP row over the columns of its own unknowns, and each bound
+    y_k <= 1 a one-term row; over that pool the pivots take about 80% of
+    this call, and building the system and the program, checking the
+    optimal point and verifying the witness the other 20%.  The witness is
     re-verified exactly, with every anchor, row and range check.
     Raises DimensionCapError above ``LP_DIMENSION_CAP``.
     """

@@ -302,6 +302,7 @@ def test_tight_rejects_nonpositive_b(matrix_file):
         (["tight", "RECT", "--b", "1,1,1"], "the matrix must be square, got 3x2"),
         (["witness", "RECT", "WITNESS"], "the matrix must be square, got 3x2"),
         (["classify", "SHORT_B"], "b must have one entry per matrix row"),
+        (["analyze", "SINGULAR", "--b", "abc"], "not a rational literal: 'abc'"),
     ],
     ids=[
         "analyze-b-length",
@@ -315,10 +316,11 @@ def test_tight_rejects_nonpositive_b(matrix_file):
         "tight-b-non-square",
         "witness-non-square",
         "classify-file-b-length",
+        "analyze-singular-b-malformed",
     ],
 )
 def test_bad_b_and_shape_exit_one(
-    argv, message, spec_file, matrix_file, tmp_path, capsys
+    argv, message, spec_file, singular_spec_file, matrix_file, tmp_path, capsys
 ):
     witness = tmp_path / "witness.json"
     witness.write_text(json.dumps(WITNESS_TABLE))
@@ -328,6 +330,7 @@ def test_bad_b_and_shape_exit_one(
     short_b.write_text(json.dumps({"matrix": REFLECTION_ROWS, "b": ["1", "1"]}))
     paths = {
         "SPEC": spec_file,
+        "SINGULAR": singular_spec_file,
         "MATRIX": matrix_file,
         "WITNESS": str(witness),
         "RECT": str(rect),

@@ -211,22 +211,25 @@ def test_zero_level_artificial_leaves_on_negative_entry(kernel_log):
     assert kernel_log["drops"] == [0]
 
 
-def test_long_degenerate_run_breaks_ties_lexicographically(kernel_log):
-    # x1 <= x2 <= ... <= x14 in the unit box: every pivot through the origin
-    # is degenerate, so after _DEGENERATE_FALLBACK of them the ratio test
-    # breaks its ties on the reference basis.
-    n = 14
+def _chain_program(n=14):
+    """x1 <= x2 <= ... <= xn in the unit box, maximising their sum.
+
+    Every pivot through the origin is degenerate.
+    """
     rows = [
         constraint([1 if k == i else -1 if k == i + 1 else 0 for k in range(n)], Relation.LE, 0)
         for i in range(n - 1)
     ]
-    program = linear_program([-1] * n, rows + [_cap(n, k, 1) for k in range(n)])
-    outcome = lp_solve(program)
+    return linear_program([-1] * n, rows + [_cap(n, k, 1) for k in range(n)])
+
+
+def test_long_degenerate_run_breaks_ties_lexicographically(kernel_log):
+    n = 14
+    outcome = lp_solve(_chain_program(n))
     assert outcome.status is LpStatus.OPTIMAL
     assert outcome.optimum == -n
     assert outcome.solution == (Fraction(1),) * n
-    assert len(kernel_log["pivots"]) > linprog._DEGENERATE_FALLBACK
-    assert kernel_log["lex"]
+    assert len(kernel_log["lex"]) == 13
 
 
 def _beale_program():
@@ -248,28 +251,30 @@ def _beale_program():
 
 
 def test_beale_cycling_example_reaches_its_optimum(kernel_log):
-    # Dantzig pricing with least-index ties returns to the starting basis
-    # every 6 pivots.  After two laps the lexicographic tie-break decides
-    # the next two ties, and the second leaves the cycle.
+    # Under Dantzig pricing with least-index ties this program returns to
+    # its starting basis every 6 pivots; the lexicographic tie-break decides
+    # its two ties.
     outcome = lp_solve(_beale_program())
     assert outcome.status is LpStatus.OPTIMAL
     assert outcome.optimum == Fraction(-5, 4)
     assert outcome.solution == (Fraction(3, 4), 0, 1, 0, 1, 0)
     assert kernel_log["lex"] == [2, 2]
-    # 2 pivots move the artificials out, then 12 degenerate ones and 5 more.
-    assert len(kernel_log["pivots"]) == 2 + linprog._DEGENERATE_FALLBACK + 5
+    # 2 pivots move the artificials out, then 5 more reach the optimum.
+    assert len(kernel_log["pivots"]) == 7
 
 
-def test_beale_cycling_example_cycles_without_the_tie_break(monkeypatch):
-    monkeypatch.setattr(linprog, "_DEGENERATE_FALLBACK", linprog._MAX_PIVOTS + 1)
-    monkeypatch.setattr(linprog, "_MAX_PIVOTS", 60)
+def test_pivot_limit_stops_a_phase(monkeypatch):
+    # Beale's phase 2 takes 5 pivots; the guard against a solver fault
+    # raises on the 4th.
+    monkeypatch.setattr(linprog, "_MAX_PIVOTS", 3)
     with pytest.raises(InternalInconsistencyError, match="pivot limit"):
         lp_solve(_beale_program())
 
 
 def test_hard_p_not_m_program_pivot_count_is_pinned(monkeypatch):
     # This d = 5 system took 1,341 pivots when long degenerate runs switched
-    # to Bland's least-index pricing; the lexicographic tie-break takes 256.
+    # to Bland's least-index pricing, and 256 when only runs of 12 or more
+    # degenerate pivots broke ties lexicographically; it takes 230.
     pivots = []
     pivot = linprog._Tableau._pivot
 
@@ -281,7 +286,7 @@ def test_hard_p_not_m_program_pivot_count_is_pinned(monkeypatch):
     verdict = check_tight_system(random_p_not_m_matrix(random.Random(7), 5), (1,) * 5)
     assert not verdict.tight
     assert verdict.optimum == Fraction(9495272740414719542, 300868934493777695)
-    assert len(pivots) == 256
+    assert len(pivots) == 230
 
 
 def _random_program(rng: random.Random):
@@ -389,8 +394,8 @@ def _solve_every_program():
 
     For every d, one M-matrix and one P-not-M matrix, each at b = 1 and at one
     sampled b.  The d = 5 P-not-M matrix is drawn from its own seed, whose two
-    LPs take 143 and 155 pivots; the draw of the shared stream takes 221 and
-    239 (1,021 and 1,651 under the former Bland fallback).
+    LPs take 156 and 143 pivots; the draw of the shared stream takes 220 and
+    251 (1,021 and 1,651 under the former Bland fallback).
     """
     rng = random.Random(73)
     draws = [(rng, gen, d) for d in range(2, 6) for gen in (random_m_matrix, random_p_not_m_matrix)]
@@ -418,9 +423,9 @@ def test_pivot_sequence_is_pinned(monkeypatch):
     monkeypatch.setattr(linprog._Tableau, "_pivot", spy_pivot)
     for _ in _solve_every_program():
         pivots.append("|")
-    assert len(pivots) == 933 + 76
+    assert len(pivots) == 935 + 76
     digest = hashlib.sha256(" ".join(pivots).encode()).hexdigest()
-    assert digest == "2f5bc815fa63be0b9709387b41f32566c7cceace543b4909144d0476337a0bf4"
+    assert digest == "fe2b1a6ffd925ca5bdbb1c74ad52a056d5cca4448bd5f0378a6b3ac605226393"
 
 
 class _FullTableau(linprog._Tableau):
@@ -485,5 +490,45 @@ def test_derived_rows_equal_stored_rows(monkeypatch):
     monkeypatch.setattr(tableau, "drop_artificials", spy_drop)
     for _ in _solve_every_program():
         pass
-    assert checked["pivots"] == 933
+    assert checked["pivots"] == 935
     assert checked["rows"] > 10 * checked["pivots"]
+
+
+def test_no_basis_repeats_between_objective_moves(monkeypatch):
+    # Within a phase, every basis since the objective last moved is kept; a
+    # basis seen again before the next move would mean the solver cycles.
+    # Pivots that move artificials out between the phases are not counted.
+    tableau = linprog._Tableau
+    run_phase, pivot = tableau.run_phase, tableau._pivot
+    checked = {"pivots": 0}
+
+    def spy_run_phase(self, cost_index, stop_at_zero):
+        self.phase_cost = cost_index
+        self.bases = {frozenset(self.basis)}
+        done = run_phase(self, cost_index, stop_at_zero)
+        self.phase_cost = None
+        return done
+
+    def value(self):
+        return Fraction(self.T[self.phase_cost].get(self.rhs_col, 0), self.den[self.phase_cost])
+
+    def spy_pivot(self, r, c):
+        if getattr(self, "phase_cost", None) is None:
+            pivot(self, r, c)
+            return
+        before = value(self)
+        pivot(self, r, c)
+        if value(self) != before:
+            self.bases = set()
+        basis = frozenset(self.basis)
+        assert basis not in self.bases
+        self.bases.add(basis)
+        checked["pivots"] += 1
+
+    monkeypatch.setattr(tableau, "run_phase", spy_run_phase)
+    monkeypatch.setattr(tableau, "_pivot", spy_pivot)
+    for _ in _solve_every_program():
+        pass
+    lp_solve(_beale_program())
+    lp_solve(_chain_program())
+    assert checked["pivots"] > 400
