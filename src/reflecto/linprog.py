@@ -152,8 +152,9 @@ def linear_program(
 class _Tableau:
     """Simplex tableau of sparse integer rows, each over its own denominator.
 
-    Built from ``Constraint`` rows that are not all zero (their zero terms
-    are dropped here) and the nonzero cost terms by column.
+    Built from every ``Constraint`` row, with its zero terms dropped here,
+    and the nonzero cost terms by column.  An all-zero row keeps only its
+    slack or its artificial, so phase one decides ``0 <relation> rhs``.
 
     Row i stores the nonzero entries of the rational tableau row times
     ``den[i] > 0`` as ``{column: int}``.  A pivot rewrites only the rows with
@@ -167,7 +168,7 @@ class _Tableau:
     stored row; ``_derived_row`` substitutes them.
     """
 
-    def __init__(self, nz: int, rows: list[Constraint], cost: dict[int, Fraction]):
+    def __init__(self, nz: int, rows: Sequence[Constraint], cost: dict[int, Fraction]):
         self.nz = nz
         m = len(rows)
 
@@ -419,12 +420,14 @@ class _Tableau:
                 raise InternalInconsistencyError("pivot limit exceeded")
 
     def drop_artificials(self) -> None:
-        """Pivot artificials out of the basis, then delete their columns.
+        """Pivot artificials out of the basis, then delete their columns and
+        the phase-one row.
 
-        Rows whose artificial cannot be pivoted out are identically zero on
-        the real columns (redundant constraints) and are removed.
+        A row whose artificial cannot be pivoted out is identically zero on
+        the real columns (a redundant constraint).  It stays where it is,
+        empty, with its artificial basic at 0: every pivot and ratio test
+        passes an empty row by.
         """
-        dead_rows: set[int] = set()
         for r in range(self.m):
             if self.basis[r] < self.art_start:
                 continue
@@ -435,23 +438,14 @@ class _Tableau:
                     raise InternalInconsistencyError(
                         "redundant row with nonzero residual after phase one"
                     )
-                dead_rows.add(r)
             else:
                 self._pivot(r, col)
 
-        keep = [i for i in range(self.m) if i not in dead_rows] + [self.cost_row]
+        del self.den[-1]
         self.T = [
-            {j: v for j, v in self.T[i].items() if j < self.art_start or j == self.rhs_col}
-            for i in keep
+            {j: v for j, v in row.items() if j < self.art_start or j == self.rhs_col}
+            for row in self.T[:-1]
         ]
-        self.den = [self.den[i] for i in keep]
-        self.basis = [self.basis[i] for i in keep[:-1]]
-        self.where = {var: i for i, var in enumerate(self.basis)}
-        self.unstored = {
-            new: self.unstored[old] for new, old in enumerate(keep) if old in self.unstored
-        }
-        self.m = len(self.basis)
-        self.cost_row = self.m
         self.phase1_row = None
 
     # -- extraction ----------------------------------------------------------
@@ -509,17 +503,15 @@ def _unstored_entry(
 def lp_solve(program: LinearProgram) -> LpOutcome:
     """Minimise objective . x over the rows and x >= 0, exactly.
 
-    Statuses Infeasible/Unbounded are outcomes, not errors, and carry no point.
+    Every row enters the tableau, an all-zero one too: phase one reports it
+    infeasible exactly when ``0 <relation> rhs`` is false.  Statuses
+    Infeasible/Unbounded are outcomes, not errors, and carry no point.
     """
-    n = len(program.objective)
-    rows: list[Constraint] = []
-    for row in program.constraints:
-        if any(a for _, a in row.terms):
-            rows.append(row)
-        elif not row.relation.holds(Fraction(0), row.rhs):
-            return LpOutcome(LpStatus.INFEASIBLE)
-
-    tab = _Tableau(n, rows, {j: c for j, c in enumerate(program.objective) if c})
+    tab = _Tableau(
+        len(program.objective),
+        program.constraints,
+        {j: c for j, c in enumerate(program.objective) if c},
+    )
 
     if tab.phase1_row is not None:
         if not tab.run_phase(tab.phase1_row, stop_at_zero=True):

@@ -563,14 +563,15 @@ def read_json(path: str):
     when it is not UTF-8 JSON.
 
     ``json.load`` raises a ValueError subclass for malformed text or bytes,
-    and a plain ValueError for an integer literal longer than the
-    interpreter's int conversion limit (4,300 digits); all become
-    ReflectoError.
+    a plain ValueError for an integer literal longer than the interpreter's
+    int conversion limit (4,300 digits), and RecursionError for arrays or
+    objects nested deeper than the interpreter's recursion limit; all
+    become ReflectoError.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ReflectoError(f"{path}: {exc}") from None
 
 

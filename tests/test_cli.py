@@ -188,6 +188,9 @@ def test_matrix_commands_reject_malformed_matrix_file(tmp_path, capsys, command,
 # an integer literal over the int conversion limit (4,300 digits): json.load
 # raises a plain ValueError for it, not JSONDecodeError
 LONG_LITERAL = "1" * 5000
+# arrays nested past the interpreter's recursion limit: json.load raises
+# RecursionError, not ValueError
+NESTED_TOO_DEEP = "[" * 200_000 + "]" * 200_000
 
 
 @pytest.mark.parametrize(
@@ -197,8 +200,9 @@ LONG_LITERAL = "1" * 5000
         ("analyze", '{"classes": %s}' % LONG_LITERAL),
         ("witness", '{"x{}": %s}' % LONG_LITERAL),
         ("classify", '{"matrix": [["\xff"]]}'),
+        ("tight", '{"matrix": %s}' % NESTED_TOO_DEEP),
     ],
-    ids=["matrix-file", "network-file", "witness-table", "not-utf8"],
+    ids=["matrix-file", "network-file", "witness-table", "not-utf8", "nested-too-deep"],
 )
 def test_unreadable_json_is_an_input_error(matrix_file, tmp_path, capsys, command, text):
     path = tmp_path / "input.json"

@@ -158,7 +158,8 @@ def test_check_point_rejects_a_point_that_breaks_a_row():
 
 @pytest.fixture
 def kernel_log(monkeypatch):
-    """Record the pivots, lexicographic tie-breaks and row drops of every solve."""
+    """Record the pivots, lexicographic tie-breaks and the redundant rows
+    that ``drop_artificials`` leaves empty, in every solve."""
     log = {"pivots": [], "lex": [], "drops": []}
     tableau = linprog._Tableau
     pivot, lex_least, drop = tableau._pivot, tableau._lex_least, tableau.drop_artificials
@@ -172,9 +173,8 @@ def kernel_log(monkeypatch):
         return lex_least(self, tied, reference)
 
     def spy_drop(self):
-        rows = self.m
         drop(self)
-        log["drops"].append(rows - self.m)
+        log["drops"].append(sum(var >= self.art_start for var in self.basis))
 
     monkeypatch.setattr(tableau, "_pivot", spy_pivot)
     monkeypatch.setattr(tableau, "_lex_least", spy_lex_least)
@@ -182,9 +182,18 @@ def kernel_log(monkeypatch):
     return log
 
 
-def test_redundant_equality_row_is_dropped(kernel_log):
+def test_redundant_equality_row_stays_in_place(kernel_log, monkeypatch):
     # After phase one the duplicate row is zero on every real column and its
-    # artificial cannot leave the basis, so the row is deleted.
+    # artificial cannot leave the basis, so the row stays, empty, with its
+    # artificial basic at 0.
+    after = []
+    drop = linprog._Tableau.drop_artificials
+
+    def spy_drop(self):
+        drop(self)
+        after.append((self.m, len(self.T), self.T[1], self.basis[1] >= self.art_start))
+
+    monkeypatch.setattr(linprog._Tableau, "drop_artificials", spy_drop)
     program = linear_program(
         [1, 2],
         [constraint([1, 1], Relation.EQ, 2), constraint([1, 1], Relation.EQ, 2)],
@@ -194,6 +203,34 @@ def test_redundant_equality_row_is_dropped(kernel_log):
     assert outcome.optimum == 2
     assert outcome.solution == (Fraction(2), Fraction(0))
     assert kernel_log["drops"] == [1]
+    # Both rows and the cost row remain; row 1 is the empty redundant row.
+    assert after == [(2, 3, {}, True)]
+
+
+# 0 <relation> rhs is false for these, so the all-zero row makes the program
+# infeasible.
+_UNSATISFIABLE_ZERO_ROWS = {
+    (Relation.LE, -1),
+    (Relation.EQ, -1),
+    (Relation.EQ, 1),
+    (Relation.GE, 1),
+}
+
+
+@pytest.mark.parametrize("rhs", [-1, 0, 1])
+@pytest.mark.parametrize("relation", list(Relation))
+def test_all_zero_row_goes_through_the_tableau(relation, rhs):
+    # A hand-built row whose one term is 0, between two live rows: it makes
+    # the program infeasible exactly when 0 <relation> rhs is false, and
+    # otherwise changes nothing.
+    live = [constraint([1, 1], Relation.LE, 4), constraint([1, -1], Relation.GE, -1)]
+    zero = Constraint(((1, Fraction(0)),), relation, Fraction(rhs))
+    outcome = lp_solve(linear_program([-1, -2], [live[0], zero, live[1]]))
+    if (relation, rhs) in _UNSATISFIABLE_ZERO_ROWS:
+        assert outcome.status is LpStatus.INFEASIBLE
+    else:
+        assert outcome == lp_solve(linear_program([-1, -2], live))
+        assert outcome.status is LpStatus.OPTIMAL
 
 
 def test_zero_level_artificial_leaves_on_negative_entry(kernel_log):
@@ -423,9 +460,9 @@ def test_pivot_sequence_is_pinned(monkeypatch):
     monkeypatch.setattr(linprog._Tableau, "_pivot", spy_pivot)
     for _ in _solve_every_program():
         pivots.append("|")
-    assert len(pivots) == 935 + 76
+    assert len(pivots) == 937 + 76
     digest = hashlib.sha256(" ".join(pivots).encode()).hexdigest()
-    assert digest == "fe2b1a6ffd925ca5bdbb1c74ad52a056d5cca4448bd5f0378a6b3ac605226393"
+    assert digest == "4c6f06f7901f51f8ee5e08c299bcced9749181243a5bec22b97abb5066175082"
 
 
 class _FullTableau(linprog._Tableau):
@@ -490,7 +527,7 @@ def test_derived_rows_equal_stored_rows(monkeypatch):
     monkeypatch.setattr(tableau, "drop_artificials", spy_drop)
     for _ in _solve_every_program():
         pass
-    assert checked["pivots"] == 935
+    assert checked["pivots"] == 937
     assert checked["rows"] > 10 * checked["pivots"]
 
 
