@@ -16,11 +16,12 @@ tuples, and the first failing subset is reported, so results are deterministic
 regardless of any internal evaluation order.  The P-test visits the subsets in
 that order with one fraction-free elimination step per subset: it never forms
 a principal submatrix or calls ``RatMatrix.det``, so each minor costs O(d^2)
-integer operations (see ``is_p_matrix``).  When the entries make the matrix
-a Z-matrix or Hessenberg, the d(d+1)/2 minors on intervals {i..j} decide
-the P-property, and the walk visits those alone unless one of them fails.
-Positive definiteness is the same interval walk on the symmetric part,
-whose leading minors decide it, so no test here computes a determinant.
+integer operations (see ``is_p_matrix``).  On a Z-matrix the d leading
+minors {1..k} decide the P-property, one elimination chain of O(d^3); on a
+Hessenberg matrix the d(d+1)/2 minors on intervals {i..j} decide it.  The
+walk visits those alone unless an interval minor fails.  Positive
+definiteness is the leading chain of the symmetric part, so no test here
+computes a determinant.
 """
 
 from __future__ import annotations
@@ -103,18 +104,20 @@ def is_p_matrix(matrix: RatMatrix) -> tuple[bool, Optional[tuple[int, ...]]]:
     recursive test for P-matrices", BIT 40, 2000).  A subset costs O(d^2)
     integer operations, and the walk stops at the first nonpositive minor.
 
-    For two structures the d(d+1)/2 interval minors det A[{i..j}] already
-    decide the question, and the walk first visits only those:
+    For two structures fewer minors already decide the question, and the
+    walk first visits only those:
 
-    * a Z-matrix (off-diagonal entries <= 0) with positive leading minors is
-      a nonsingular M-matrix, hence P (Fiedler and Ptak, Czech. Math. J. 12,
-      1962);
+    * a Z-matrix (off-diagonal entries <= 0) with positive leading minors
+      det A[{1..k}] is a nonsingular M-matrix, hence P (Fiedler and Ptak,
+      Czech. Math. J. 12, 1962): d minors, one Bareiss chain of O(d^3);
     * in an upper Hessenberg matrix (A_ij = 0 for i > j + 1) or a lower one,
       A[S] is block triangular over the runs of consecutive indices in S, so
-      det A[S] is a product of interval minors.
+      det A[S] is a product of the d(d+1)/2 interval minors det A[{i..j}].
 
-    If an interval minor fails, the full walk runs, so the reported subset is
-    always the lexicographically first failure.
+    The reported subset is always the lexicographically first failure.  The
+    full walk visits the leading chain before any other subset, so a failing
+    leading minor is that failure already.  A gapped subset can come before
+    a failing interval, so there the full walk runs.
     """
     d = _require_square(matrix)
     _check_cap(d)
@@ -122,22 +125,29 @@ def is_p_matrix(matrix: RatMatrix) -> tuple[bool, Optional[tuple[int, ...]]]:
     for row in matrix.row_lists():
         mult = lcm(*(v.denominator for v in row))
         integer_rows.append([v.numerator * (mult // v.denominator) for v in row])
-    if _intervals_decide_p(matrix) and (
-        _first_nonpositive_minor(integer_rows, (), 0, 1, intervals=True) is None
-    ):
-        return True, None
-    failing = _first_nonpositive_minor(integer_rows, (), 0, 1)
+    mode = _deciding_minors(matrix)
+    failing = _first_nonpositive_minor(integer_rows, (), 0, 1, mode)
+    if failing is not None and mode is _INTERVALS:
+        failing = _first_nonpositive_minor(integer_rows, (), 0, 1, _ALL)
     return failing is None, failing
 
 
-def _intervals_decide_p(matrix: RatMatrix) -> bool:
-    """Z-matrix, or upper or lower Hessenberg (see ``is_p_matrix``)."""
+# Which principal minors a walk visits: every one, the intervals {i..j}, or
+# the leading chain {1..k}.
+_ALL, _INTERVALS, _LEADING = "all", "intervals", "leading"
+
+
+def _deciding_minors(matrix: RatMatrix) -> str:
+    """The leading chain for a Z-matrix, the intervals for an upper or lower
+    Hessenberg matrix, else every minor (see ``is_p_matrix``)."""
+    if _nonpositive_off_diagonal(matrix):
+        return _LEADING
     d, at = matrix.rows, matrix.at
-    return (
-        _nonpositive_off_diagonal(matrix)
-        or all(at(i, j) == 0 for i in range(d) for j in range(i - 1))
-        or all(at(j, i) == 0 for i in range(d) for j in range(i - 1))
-    )
+    if all(at(i, j).numerator == 0 for i in range(d) for j in range(i - 1)) or all(
+        at(j, i).numerator == 0 for i in range(d) for j in range(i - 1)
+    ):
+        return _INTERVALS
+    return _ALL
 
 
 def _first_nonpositive_minor(
@@ -145,11 +155,12 @@ def _first_nonpositive_minor(
     prefix: tuple[int, ...],
     first: int,
     prev: int,
-    intervals: bool = False,
+    mode: str,
 ) -> Optional[tuple[int, ...]]:
     # block[a] belongs to the 0-based index first + a; prev is det A[prefix].
-    # With intervals set, only the first branch is taken below the top level,
-    # so the walk visits exactly the subsets {i..j}.
+    # _INTERVALS takes only the first branch below the top level, so the walk
+    # visits exactly the subsets {i..j}; _LEADING takes only the first branch
+    # at every level, the subsets {1..k}.
     for a, pivot_row in enumerate(block):
         subset = prefix + (first + a + 1,)
         pivot = pivot_row[a]
@@ -160,15 +171,21 @@ def _first_nonpositive_minor(
             [(pivot * row[c] - row[a] * pivot_row[c]) // prev for c in range(tail, len(row))]
             for row in block[tail:]
         ]
-        failing = _first_nonpositive_minor(child, subset, first + tail, pivot, intervals)
-        if failing is not None or (intervals and prefix):
+        failing = _first_nonpositive_minor(child, subset, first + tail, pivot, mode)
+        if failing is not None or mode is _LEADING or (mode is _INTERVALS and prefix):
             return failing
     return None
 
 
 def _nonpositive_off_diagonal(matrix: RatMatrix) -> bool:
-    d = matrix.rows
-    return all(matrix.at(i, j) <= 0 for i in range(d) for j in range(d) if i != j)
+    # A Fraction's sign is its numerator's; reading it skips Fraction's
+    # comparison operators.
+    return all(
+        v.numerator <= 0
+        for i in range(matrix.rows)
+        for j, v in enumerate(matrix.row(i))
+        if i != j
+    )
 
 
 def is_m_matrix(matrix: RatMatrix) -> bool:
@@ -184,9 +201,9 @@ def is_positive_definite(matrix: RatMatrix) -> bool:
     exactly when its leading minors are positive (Sylvester's criterion;
     Horn and Johnson, Matrix Analysis, Thm 7.2.5).  M + M' is scaled to
     integers by one lcm of all denominators, which keeps it symmetric, and
-    the interval walk of ``is_p_matrix`` decides it: its leading minors are
-    among the intervals, and the walk stops at the first nonpositive one.
-    Like every class test it refuses d > DEFAULT_DIMENSION_CAP.
+    the leading chain of the walk in ``is_p_matrix`` decides it: d minors,
+    stopping at the first nonpositive one.  Like every class test it refuses
+    d > DEFAULT_DIMENSION_CAP.
     """
     d = _require_square(matrix)
     _check_cap(d)
@@ -194,7 +211,7 @@ def is_positive_definite(matrix: RatMatrix) -> bool:
     mult = lcm(*(v.denominator for row in rows for v in row))
     scaled = [[v.numerator * (mult // v.denominator) for v in row] for row in rows]
     symmetric = [[scaled[i][j] + scaled[j][i] for j in range(d)] for i in range(d)]
-    return _first_nonpositive_minor(symmetric, (), 0, 1, intervals=True) is None
+    return _first_nonpositive_minor(symmetric, (), 0, 1, _LEADING) is None
 
 
 class TwoByTwoCase(Enum):
@@ -244,13 +261,13 @@ def has_staircase_sign_pattern(matrix: RatMatrix) -> bool:
 
 def _staircase_signs(matrix: RatMatrix) -> bool:
     for i in range(matrix.rows):
-        if matrix.at(i, i) <= 0:
+        row = matrix.row(i)
+        if row[i].numerator <= 0:
             return False
-        if i >= 1 and matrix.at(i, i - 1) >= 0:
+        if i >= 1 and row[i - 1].numerator >= 0:
             return False
-        for j in range(0, i - 1):
-            if matrix.at(i, j) != 0:
-                return False
+        if any(v.numerator for v in row[: max(i - 1, 0)]):
+            return False
     return True
 
 

@@ -14,9 +14,10 @@ is, byte-deterministic for fixed inputs and seed; otherwise ``_render`` lays
 the same document out as indented text for reading, which is not a stable
 format.  ``reentrant`` always prints its network file as JSON.
 
-Classification and witness verification refuse d above
-``DEFAULT_DIMENSION_CAP`` (12) and the tightness LP refuses d above
-``LP_DIMENSION_CAP`` (7), all with exit code 1.
+Classification, witness verification and ``tight`` refuse d above
+``DEFAULT_DIMENSION_CAP`` (12).  Above ``LP_DIMENSION_CAP`` (7) ``tight``
+answers only when sign forcing proves the system tight without an LP, and
+otherwise refuses it; every refusal exits with code 1.
 ``--samples`` outside 0..``MAX_SAMPLES`` (1000) is a usage error, exit code 1.
 ``--seed``, ``--samples`` and ``--route`` take ASCII digits only, or exit 1.
 A comma list (``--b``, ``--route``, ``--means``) with an empty entry exits 1.

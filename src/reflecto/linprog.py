@@ -420,14 +420,18 @@ class _Tableau:
                 raise InternalInconsistencyError("pivot limit exceeded")
 
     def drop_artificials(self) -> None:
-        """Pivot artificials out of the basis, then delete their columns and
-        the phase-one row.
+        """Delete the phase-one row and the artificial columns, then pivot
+        the artificials still basic out of the basis.
 
-        A row whose artificial cannot be pivoted out is identically zero on
-        the real columns (a redundant constraint).  It stays where it is,
-        empty, with its artificial basic at 0: every pivot and ratio test
-        passes an empty row by.
+        Deleting first keeps every pivot, since no choice below reads an
+        artificial column, and spares each pivot-out rewriting the
+        artificial block, which fills in as they run.  A row whose
+        artificial cannot be pivoted out is identically zero on the real
+        columns (a redundant constraint).  It stays where it is, empty, with
+        its artificial basic at 0: every pivot and ratio test passes an empty
+        row by.
         """
+        self._delete_artificial_columns()
         for r in range(self.m):
             if self.basis[r] < self.art_start:
                 continue
@@ -441,6 +445,7 @@ class _Tableau:
             else:
                 self._pivot(r, col)
 
+    def _delete_artificial_columns(self) -> None:
         del self.den[-1]
         self.T = [
             {j: v for j, v in row.items() if j < self.art_start or j == self.rhs_col}

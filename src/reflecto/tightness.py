@@ -62,15 +62,24 @@ from .errors import (
     RationalParseError,
     ReflectoError,
 )
-from .linprog import Constraint, LpStatus, Relation, linear_program, lp_solve, row_value
+from .linprog import (
+    Constraint,
+    LinearProgram,
+    LpStatus,
+    Relation,
+    linear_program,
+    lp_solve,
+    row_value,
+)
 from .matrix import RatMatrix
 from .rational import Rational, RationalLike, as_rational, format_rational, parse_rational
 
-# Largest d for which check_tight_system runs its LP: about 16 s at d = 7 on
+# Largest d for which check_tight_system runs its LP: about 4 s at d = 7 on
 # a random M-matrix at b = 1 (README, "Practical sizes"), almost all of it in
-# pivots, where the time grows 15-20x per dimension from d = 5; non-M inputs
-# take longer (about 1 s at d = 5, against 0.06 s for that M-matrix);
-# extrapolated, d = 8 would take minutes even on M-matrices.
+# pivots, where the time grew 6x from d = 5 to 6 and 20-30x from 6 to 7;
+# non-M inputs take longer (about 1 s at d = 5, against 0.03 s for that
+# M-matrix, and one d = 7 input 12 minutes).  Above it, only systems that
+# sign forcing closes without an LP are answered.
 LP_DIMENSION_CAP = 7
 
 # --------------------------------------------------------------------------
@@ -382,42 +391,43 @@ def check_tight_system(
 ) -> TightnessVerdict:
     """Decide whether (R, b) admits only the all-ones solution.
 
-    One LP runs on the substitution y = 1 - x with y >= 0 and one row
+    Before any LP row is built, ``_unforced_count`` closes the system under
+    sign forcing.  When every unknown is forced the system is tight and no
+    LP runs: every dense M-matrix system at b = 1 tried closes this way,
+    ``random_m_matrix(Random(1), 8)`` among them.  Otherwise one LP runs on
+    the whole system.  ``build_system`` refuses d above
+    DEFAULT_DIMENSION_CAP; above ``LP_DIMENSION_CAP`` a DimensionCapError
+    names how many unknowns the closure leaves.
+
+    The LP runs on the substitution y = 1 - x with y >= 0 and one row
     y_k <= 1 per unknown, maximising sum(y) over the rows of the bounded
-    system.  ``build_system`` has checked that every row is active at x = 1,
-    so in y every row is homogeneous and gets rhs 0 without a second pass
-    over its terms.  y = 0 is feasible, but the solver still enters each
-    balance equality with an artificial variable and pivots it out before it
-    optimises.  Those pivots can be most of the pivot count (80 of 93 on a
-    d = 5 M-matrix at b = 1), and their share of the time grows with d.
-    Over the 96 d = 4 inputs of the benchmark's certify-lp pool, the 2,287
-    phase-2 pivots take 79% of the pivot time and the 3,072 pivot-outs 21%.
-    On ``random_m_matrix(Random(1), 7)`` at b = 1, the 448 pivot-outs take
-    11.2 s of an 11.7 s call and the 71 phase-2 pivots 0.4 s (one run,
-    Python 3.11.7, shared 2-vCPU Intel Xeon).  Each system row becomes one
-    sparse LP row over the columns of its own unknowns, and each bound
-    y_k <= 1 a one-term row; over that pool the pivots take about 80% of
-    this call, and building the system and the program, checking the
-    optimal point and verifying the witness the other 20%.  The witness is
-    re-verified exactly, with every anchor, row and range check.
-    Raises DimensionCapError above ``LP_DIMENSION_CAP``.
+    system (``_box_program``).  ``build_system`` has checked that every row
+    is active at x = 1, so in y every row is homogeneous and gets rhs 0
+    without a second pass over its terms.  y = 0 is feasible, but the
+    solver still enters each balance equality with an artificial variable
+    and pivots it out before it optimises.  Those pivots can be most of the
+    pivot count (80 of 93 in the LP of a d = 5 M-matrix at b = 1).  Over the
+    96 d = 4 inputs of the benchmark's certify-lp pool, the 16 M-matrices at
+    b = 1 close; in the other 80 LPs the 2,155 phase-2 pivots take 85% of
+    the pivot time and the 2,560 pivot-outs 15%.  The LP of
+    ``random_m_matrix(Random(1), 7)`` at b = 1 takes 4.2 s: 1.9 s for its
+    448 pivot-outs and 2.2 s for its 344 phase-2 pivots (one run, Python
+    3.11.7, shared 2-vCPU Intel Xeon).  Each system row becomes one sparse
+    LP row over the columns of its own unknowns, and each bound y_k <= 1 a
+    one-term row.  The witness is re-verified exactly, with every anchor,
+    row and range check.
     """
-    if reflection.rows > LP_DIMENSION_CAP:
-        raise DimensionCapError(
-            f"dimension {reflection.rows} exceeds the tightness-LP cap {LP_DIMENSION_CAP}"
-        )
     system = build_system(reflection, b)
     nfree = len(system.variables)
-    column = {var: k for k, var in enumerate(system.variables)}
-
-    zero, one = Fraction(0), Fraction(1)
-    rows = [
-        Constraint(tuple((column[var], -c) for var, c in row.terms), row.relation, zero)
-        for row in system.rows
-    ]
-    rows.extend(Constraint(((k, one),), Relation.LE, one) for k in range(nfree))
-    objective = [Fraction(-1)] * nfree  # minimise -sum(y) = maximise sum(y)
-    outcome = lp_solve(linear_program(objective, rows))
+    left = _unforced_count(system)
+    if not left:
+        return TightnessVerdict(True, nfree, Fraction(nfree), None)
+    if system.dimension > LP_DIMENSION_CAP:
+        raise DimensionCapError(
+            f"dimension {system.dimension} exceeds the tightness-LP cap {LP_DIMENSION_CAP}, "
+            f"and sign forcing leaves {left} of its {nfree} unknowns"
+        )
+    outcome = lp_solve(_box_program(system))
     if outcome.status is not LpStatus.OPTIMAL:
         raise InternalInconsistencyError(
             f"the box LP is feasible at y = 0 and bounded; the solver reported {outcome.status.value}"
@@ -426,6 +436,7 @@ def check_tight_system(
     optimum = nfree + outcome.optimum
     if optimum == nfree:
         return TightnessVerdict(True, nfree, optimum, None)
+    one = Fraction(1)
     witness = {v: one for v in canonical_variables(system.dimension) if v.is_constant}
     for var, y in zip(system.variables, outcome.solution):
         witness[var] = one - y
@@ -433,6 +444,52 @@ def check_tight_system(
     if not report.ok or report.is_all_ones:
         raise InternalInconsistencyError("extracted witness failed verification")
     return TightnessVerdict(False, nfree, optimum, witness)
+
+
+def _box_program(system: TightnessSystem) -> LinearProgram:
+    """The LP of ``check_tight_system``: maximise sum(y) over the rows in
+    y = 1 - x, with y >= 0 and one row y_k <= 1 per unknown."""
+    column = {var: k for k, var in enumerate(system.variables)}
+    zero, one = Fraction(0), Fraction(1)
+    rows = [
+        Constraint(tuple((column[var], -c) for var, c in row.terms), row.relation, zero)
+        for row in system.rows
+    ]
+    rows.extend(Constraint(((k, one),), Relation.LE, one) for k in range(len(column)))
+    objective = [Fraction(-1)] * len(column)  # minimise -sum(y) = maximise sum(y)
+    return linear_program(objective, rows)
+
+
+def _unforced_count(system: TightnessSystem) -> int:
+    """How many unknowns sign forcing leaves free; 0 proves the system tight.
+
+    In y = 1 - x each row reads sum(-c_k y_k) <relation> 0 over y >= 0.  An
+    equality whose live terms share one sign, or a GE row whose live terms
+    are all negative, holds only with every live y_k = 0 (Andersen and
+    Andersen, "Presolving in linear programming", Math. Programming 71,
+    1995).  Forcing an unknown can make another row single-signed, so the
+    rows holding it are checked again, until nothing changes.
+    """
+    rows = system.rows
+    rows_of: dict[VarIndex, list[int]] = {var: [] for var in system.variables}
+    for r, row in enumerate(rows):
+        for var, _ in row.terms:
+            rows_of[var].append(r)
+    forced: set[VarIndex] = set()
+    pending = list(range(len(rows)))
+    while pending:
+        row = rows[pending.pop()]
+        live = [(var, c.numerator) for var, c in row.terms if var not in forced]
+        if not live:
+            continue
+        # signs of the x coefficients c_k, whose y coefficients are -c_k; the
+        # system has only EQ and GE rows
+        positive = all(c > 0 for _, c in live)
+        if positive or (row.relation is Relation.EQ and all(c < 0 for _, c in live)):
+            for var, _ in live:
+                forced.add(var)
+                pending.extend(rows_of[var])
+    return len(system.variables) - len(forced)
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflecto import (
     DimensionCapError,
@@ -221,8 +223,10 @@ def _lower_triangular_pivot(rng, d):
     return RatMatrix(rows)
 
 
-def test_structured_p_matrices_visit_only_interval_minors(monkeypatch):
-    # each recursive call below the top level is one positive principal minor
+def test_structured_p_matrices_visit_only_deciding_minors(monkeypatch):
+    # each recursive call below the top level is one positive principal minor:
+    # a Z-matrix walks its 12 leading minors, a Hessenberg matrix its 78
+    # interval minors, a dense one all 4095
     visited = Counter()
     walk = classify._first_nonpositive_minor
 
@@ -235,7 +239,7 @@ def test_structured_p_matrices_visit_only_interval_minors(monkeypatch):
     d = 12
     staircase = random_staircase_matrix(rng, d)
     cases = {
-        "z": (random_m_matrix(rng, d), 78),
+        "z": (random_m_matrix(rng, d), 12),
         "upper hessenberg": (staircase, 78),
         "lower hessenberg": (staircase.transpose(), 78),
         "dense": (random_p_not_m_matrix(rng, d), 4095),
@@ -244,12 +248,62 @@ def test_structured_p_matrices_visit_only_interval_minors(monkeypatch):
         visited.clear()
         assert is_p_matrix(M) == (True, None), name
         assert visited["minors"] == minors, name
-    # definiteness walks the intervals of the symmetric part, whatever M is
+    # definiteness walks the leading chain of the symmetric part, whatever M is
     symmetric = _gram(rng, d, d) + RatMatrix.identity(d)
     for M in (symmetric, symmetric + _random_skew(rng, d)):
         visited.clear()
         assert is_positive_definite(M)
-        assert visited["minors"] == 78
+        assert visited["minors"] == 12
+
+
+def _first_nonpositive_minor_by_det(M):
+    """The lexicographically first subset with det M[S] <= 0, by determinants."""
+    return next((S for S in subsets_lex(M.rows) if M.principal_submatrix(S).det() <= 0), None)
+
+
+_small_entries = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def _z_matrices(draw):
+    """Off-diagonal entries <= 0, diagonal mostly positive; d <= 6."""
+    d = draw(st.integers(1, 6))
+    diagonal = st.fractions(min_value=-2, max_value=24, max_denominator=4)
+    off = st.fractions(min_value=-4, max_value=0, max_denominator=4)
+    return RatMatrix(
+        [[draw(diagonal if i == j else off) for j in range(d)] for i in range(d)]
+    )
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    d = draw(st.integers(1, 6))
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            rows[i][j] = rows[j][i] = draw(_small_entries)
+    # a positive diagonal shift makes about half the draws definite
+    shift = draw(st.integers(0, 16))
+    return RatMatrix(rows) + RatMatrix.identity(d).scale(shift)
+
+
+_FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@_FUZZ
+@given(_z_matrices())
+def test_z_matrix_leading_chain_agrees_with_every_minor(M):
+    # the leading chain decides P on a Z-matrix, and its first failure is
+    # the first failing subset of the full walk, which visits it first
+    failing = _first_nonpositive_minor_by_det(M)
+    assert is_p_matrix(M) == (failing is None, failing)
+
+
+@_FUZZ
+@given(_symmetric_matrices())
+def test_definiteness_leading_chain_agrees_with_every_minor(M):
+    # a symmetric matrix is positive definite exactly when it is a P-matrix
+    assert is_positive_definite(M) is (_first_nonpositive_minor_by_det(M) is None)
 
 
 def test_p_matrix_computes_no_determinant(monkeypatch):

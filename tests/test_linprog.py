@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import reflecto.linprog as linprog
+import reflecto.tightness as tightness
 from _generators import random_m_matrix, random_p_not_m_matrix
 from reflecto import (
     Constraint,
@@ -15,6 +16,7 @@ from reflecto import (
     LpStatus,
     MatrixShapeError,
     Relation,
+    build_system,
     check_tight_system,
     constraint,
     linear_program,
@@ -432,7 +434,9 @@ def _solve_every_program():
     For every d, one M-matrix and one P-not-M matrix, each at b = 1 and at one
     sampled b.  The d = 5 P-not-M matrix is drawn from its own seed, whose two
     LPs take 156 and 143 pivots; the draw of the shared stream takes 220 and
-    251 (1,021 and 1,651 under the former Bland fallback).
+    251 (1,021 and 1,651 under the former Bland fallback).  The box LP is
+    solved directly: ``check_tight_system`` closes some of these systems by
+    sign forcing and would skip their LPs.
     """
     rng = random.Random(73)
     draws = [(rng, gen, d) for d in range(2, 6) for gen in (random_m_matrix, random_p_not_m_matrix)]
@@ -441,7 +445,7 @@ def _solve_every_program():
         R = gen(stream, d)
         sampled = tuple(Fraction(stream.randint(1, 16), stream.randint(1, 16)) for _ in range(d))
         for b in ((1,) * d, sampled):
-            yield check_tight_system(R, b)
+            yield lp_solve(tightness._box_program(build_system(R, b)))
     rng = random.Random(21)
     for _ in range(60):
         yield lp_solve(_random_program(rng))
@@ -470,7 +474,6 @@ class _FullTableau(linprog._Tableau):
 
     _init = linprog._Tableau.__init__
     _pivot = linprog._Tableau._pivot
-    drop_artificials = linprog._Tableau.drop_artificials
 
     def __init__(self, *args):
         self._init(*args)
@@ -489,9 +492,11 @@ def test_derived_rows_equal_stored_rows(monkeypatch):
     # stored rows, must equal the reference's row exactly.  Rows are compared
     # as rationals, by cross-multiplying: deleting the artificial columns can
     # leave a stored row with a common factor that a derived row, reduced by
-    # its gcd, does not carry.
+    # its gcd, does not carry.  The reference deletes its artificial columns
+    # at the same point, before the pivot-outs, which both then take in step.
     tableau = linprog._Tableau
-    init, pivot, drop = tableau.__init__, tableau._pivot, tableau.drop_artificials
+    init, pivot = tableau.__init__, tableau._pivot
+    delete = tableau._delete_artificial_columns
     checked = {"rows": 0, "pivots": 0}
 
     def assert_rows_match(tab):
@@ -517,14 +522,14 @@ def test_derived_rows_equal_stored_rows(monkeypatch):
         assert_rows_match(self)
         checked["pivots"] += 1
 
-    def spy_drop(self):
-        drop(self)
-        drop(self.reference)
+    def spy_delete(self):
+        delete(self)
+        delete(self.reference)
         assert_rows_match(self)
 
     monkeypatch.setattr(tableau, "__init__", spy_init)
     monkeypatch.setattr(tableau, "_pivot", spy_pivot)
-    monkeypatch.setattr(tableau, "drop_artificials", spy_drop)
+    monkeypatch.setattr(tableau, "_delete_artificial_columns", spy_delete)
     for _ in _solve_every_program():
         pass
     assert checked["pivots"] == 937

@@ -31,13 +31,14 @@ from reflecto import (
     check_tight_system,
     decide_tight_matrix,
     is_completely_s,
+    lp_solve,
     nonnegative_case_witness,
     parse_variable_key,
     sample_b_vectors,
     verify_assignment,
 )
 
-from _generators import random_matrix
+from _generators import random_m_matrix, random_matrix
 
 REFLECTION = RatMatrix([[1, 0, 0], [-3, 1, 0], [3, -2, 1]])
 ONES3 = (Fraction(1), Fraction(1), Fraction(1))
@@ -428,14 +429,46 @@ def test_b_absorption_is_structural():
         assert left.variables == right.variables
 
 
-def test_lp_above_dimension_cap_is_refused_before_building(monkeypatch):
+def test_lp_above_dimension_cap_is_refused_when_unknowns_are_left(monkeypatch):
+    # the diagonal system is not tight, so sign forcing leaves unknowns and
+    # the LP it would need is refused before it is built
     def fail(*args, **kwargs):
-        raise AssertionError("build_system ran above the LP cap")
+        raise AssertionError("the LP was built above the LP cap")
 
-    monkeypatch.setattr(tightness, "build_system", fail)
+    monkeypatch.setattr(tightness, "_box_program", fail)
     d = LP_DIMENSION_CAP + 1
-    with pytest.raises(DimensionCapError):
+    with pytest.raises(DimensionCapError, match="leaves 1263 of its 1271 unknowns"):
         check_tight_system(RatMatrix.identity(d), [1] * d)
+
+
+def test_sign_forcing_certifies_m_matrix_above_the_lp_cap(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an LP ran on a system closed by sign forcing")
+
+    monkeypatch.setattr(tightness, "lp_solve", fail)
+    d = LP_DIMENSION_CAP + 1
+    verdict = check_tight_system(random_m_matrix(random.Random(1), d), [1] * d)
+    assert verdict == tightness.TightnessVerdict(True, 1271, Fraction(1271), None)
+
+
+def test_sign_forced_systems_have_lp_optimum_at_the_variable_count():
+    # whenever sign forcing closes a system, the box LP must prove it tight
+    rng = random.Random(5)
+    closed = 0
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        R = random_matrix(rng, d)
+        b = [Fraction(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(d)]
+        system = build_system(R, b)
+        if tightness._unforced_count(system):
+            continue
+        closed += 1
+        outcome = lp_solve(tightness._box_program(system))
+        assert outcome.optimum == 0, (R.to_strings(), b)
+        assert check_tight_system(R, b) == tightness.TightnessVerdict(
+            True, len(system.variables), Fraction(len(system.variables)), None
+        )
+    assert closed >= 30
 
 
 def test_rejects_nonpositive_b():
