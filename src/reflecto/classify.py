@@ -13,15 +13,12 @@ into the closed one.  This makes the question decidable by one exact LP.
 
 Principal subsets are enumerated in lexicographic order of their sorted index
 tuples, and the first failing subset is reported, so results are deterministic
-regardless of any internal evaluation order.  The P-test visits the subsets in
-that order with one fraction-free elimination step per subset: it never forms
-a principal submatrix or calls ``RatMatrix.det``, so each minor costs O(d^2)
-integer operations (see ``is_p_matrix``).  On a Z-matrix the d leading
-minors {1..k} decide the P-property, one elimination chain of O(d^3); on a
-Hessenberg matrix the d(d+1)/2 minors on intervals {i..j} decide it.  The
-walk visits those alone unless an interval minor fails.  Positive
-definiteness is the leading chain of the symmetric part, so no test here
-computes a determinant.
+regardless of any internal evaluation order.  No test here computes a
+determinant.  The P-test walks the subsets in that order with one
+fraction-free step per minor, O(d^2) integer operations; on a Z-matrix or a
+Hessenberg matrix O(d^3) work on d or d(d+1)/2 minors decides it instead
+(see ``is_p_matrix``).  Positive definiteness is the leading chain of the
+symmetric part; the tight-matrix decision never reads it.
 """
 
 from __future__ import annotations
@@ -104,15 +101,16 @@ def is_p_matrix(matrix: RatMatrix) -> tuple[bool, Optional[tuple[int, ...]]]:
     recursive test for P-matrices", BIT 40, 2000).  A subset costs O(d^2)
     integer operations, and the walk stops at the first nonpositive minor.
 
-    For two structures fewer minors already decide the question, and the
-    walk first visits only those:
+    For two structures fewer minors already decide the question:
 
     * a Z-matrix (off-diagonal entries <= 0) with positive leading minors
       det A[{1..k}] is a nonsingular M-matrix, hence P (Fiedler and Ptak,
-      Czech. Math. J. 12, 1962): d minors, one Bareiss chain of O(d^3);
+      Czech. Math. J. 12, 1962): the walk visits only those d minors, one
+      Bareiss chain of O(d^3);
     * in an upper Hessenberg matrix (A_ij = 0 for i > j + 1) or a lower one,
       A[S] is block triangular over the runs of consecutive indices in S, so
-      det A[S] is a product of the d(d+1)/2 interval minors det A[{i..j}].
+      det A[S] is a product of the d(d+1)/2 interval minors det A[{i..j}],
+      which ``_interval_minors_positive`` computes in O(d^3) without the walk.
 
     The reported subset is always the lexicographically first failure.  The
     full walk visits the leading chain before any other subset, so a failing
@@ -125,29 +123,41 @@ def is_p_matrix(matrix: RatMatrix) -> tuple[bool, Optional[tuple[int, ...]]]:
     for row in matrix.row_lists():
         mult = lcm(*(v.denominator for v in row))
         integer_rows.append([v.numerator * (mult // v.denominator) for v in row])
-    mode = _deciding_minors(matrix)
-    failing = _first_nonpositive_minor(integer_rows, (), 0, 1, mode)
-    if failing is not None and mode is _INTERVALS:
-        failing = _first_nonpositive_minor(integer_rows, (), 0, 1, _ALL)
+    leading = _nonpositive_off_diagonal(matrix)
+    if not leading and _interval_minors_positive(integer_rows):
+        return True, None
+    failing = _first_nonpositive_minor(integer_rows, (), 0, 1, leading)
     return failing is None, failing
 
 
-# Which principal minors a walk visits: every one, the intervals {i..j}, or
-# the leading chain {1..k}.
-_ALL, _INTERVALS, _LEADING = "all", "intervals", "leading"
+def _interval_minors_positive(rows: list[list[int]]) -> bool:
+    """True iff ``rows`` is upper Hessenberg, or lower (read through its
+    transpose), with every interval minor D[i..k] = det A[{i..k}] positive.
 
-
-def _deciding_minors(matrix: RatMatrix) -> str:
-    """The leading chain for a Z-matrix, the intervals for an upper or lower
-    Hessenberg matrix, else every minor (see ``is_p_matrix``)."""
-    if _nonpositive_off_diagonal(matrix):
-        return _LEADING
-    d, at = matrix.rows, matrix.at
-    if all(at(i, j).numerator == 0 for i in range(d) for j in range(i - 1)) or all(
-        at(j, i).numerator == 0 for i in range(d) for j in range(i - 1)
-    ):
-        return _INTERVALS
-    return _ALL
+    Expanding D[i..k] along column k, the minor that drops row m is block
+    triangular, over D[i..m-1] and the subdiagonal entries a[l+1][l] for
+    l = m..k-1.  So D[i..k] is the sum over m = i..k of
+    (-1)^(k-m) a[m][k] (prod of those a[l+1][l]) D[i..m-1], with
+    D[i..i-1] = 1: no division, O(d^3) for all d(d+1)/2 minors.
+    """
+    for rows in (rows, list(zip(*rows))):
+        if not any(v for i, row in enumerate(rows[2:]) for v in row[: i + 1]):
+            break
+    else:
+        return False
+    d = len(rows)
+    for i in range(d):
+        # minors[t] is D[i..i+t-1]
+        minors = [1]
+        for k in range(i, d):
+            total, weight = 0, 1
+            for m in range(k, i - 1, -1):
+                total += weight * rows[m][k] * minors[m - i]
+                weight *= -rows[m][m - 1]
+            if total <= 0:
+                return False
+            minors.append(total)
+    return True
 
 
 def _first_nonpositive_minor(
@@ -155,12 +165,11 @@ def _first_nonpositive_minor(
     prefix: tuple[int, ...],
     first: int,
     prev: int,
-    mode: str,
+    leading: bool,
 ) -> Optional[tuple[int, ...]]:
     # block[a] belongs to the 0-based index first + a; prev is det A[prefix].
-    # _INTERVALS takes only the first branch below the top level, so the walk
-    # visits exactly the subsets {i..j}; _LEADING takes only the first branch
-    # at every level, the subsets {1..k}.
+    # With ``leading`` only the first branch is taken at every level, so the
+    # walk visits exactly the subsets {1..k}.
     for a, pivot_row in enumerate(block):
         subset = prefix + (first + a + 1,)
         pivot = pivot_row[a]
@@ -171,8 +180,8 @@ def _first_nonpositive_minor(
             [(pivot * row[c] - row[a] * pivot_row[c]) // prev for c in range(tail, len(row))]
             for row in block[tail:]
         ]
-        failing = _first_nonpositive_minor(child, subset, first + tail, pivot, mode)
-        if failing is not None or mode is _LEADING or (mode is _INTERVALS and prefix):
+        failing = _first_nonpositive_minor(child, subset, first + tail, pivot, leading)
+        if failing is not None or leading:
             return failing
     return None
 
@@ -211,7 +220,7 @@ def is_positive_definite(matrix: RatMatrix) -> bool:
     mult = lcm(*(v.denominator for row in rows for v in row))
     scaled = [[v.numerator * (mult // v.denominator) for v in row] for row in rows]
     symmetric = [[scaled[i][j] + scaled[j][i] for j in range(d)] for i in range(d)]
-    return _first_nonpositive_minor(symmetric, (), 0, 1, _LEADING) is None
+    return _first_nonpositive_minor(symmetric, (), 0, 1, leading=True) is None
 
 
 class TwoByTwoCase(Enum):
@@ -290,7 +299,12 @@ class ClassReport:
 
 
 def classify_matrix(matrix: RatMatrix) -> ClassReport:
-    """Run every class test and package the result.
+    """Run every class test and package the result."""
+    return ClassReport(**_memberships(matrix), is_positive_definite=is_positive_definite(matrix))
+
+
+def _memberships(matrix: RatMatrix) -> dict:
+    """The fields of ``classify_matrix``'s report but definiteness.
 
     The principal minors are computed once.  P implies completely-S, so the
     2^d - 1 S-LPs run only when some minor is nonpositive; the M-property and
@@ -303,11 +317,10 @@ def classify_matrix(matrix: RatMatrix) -> ClassReport:
         completely_s, failing = is_completely_s(matrix)
         if completely_s:
             failing = p_failure
-    return ClassReport(
+    return dict(
         is_completely_s=completely_s,
         is_p=p,
         is_m=p and _nonpositive_off_diagonal(matrix),
-        is_positive_definite=is_positive_definite(matrix),
         has_staircase_pattern=p and _staircase_signs(matrix),
         failing_subset=failing,
     )

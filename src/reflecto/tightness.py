@@ -49,8 +49,8 @@ from typing import Mapping, Optional, Sequence
 from .classify import (
     TwoByTwoCase,
     _check_cap,
+    _memberships,
     _require_square,
-    classify_matrix,
     classify_two_by_two,
 )
 from .errors import (
@@ -74,12 +74,12 @@ from .linprog import (
 from .matrix import RatMatrix
 from .rational import Rational, RationalLike, as_rational, format_rational, parse_rational
 
-# Largest d for which check_tight_system runs its LP: about 4 s at d = 7 on
-# a random M-matrix at b = 1 (README, "Practical sizes"), almost all of it in
-# pivots, where the time grew 6x from d = 5 to 6 and 20-30x from 6 to 7;
-# non-M inputs take longer (about 1 s at d = 5, against 0.03 s for that
-# M-matrix, and one d = 7 input 12 minutes).  Above it, only systems that
-# sign forcing closes without an LP are answered.
+# Largest d for which check_tight_system runs its LP.  On a system that sign
+# forcing leaves open, such as p_not_m_rows(Random(17), d) of perfbench at
+# b = 1, the LP took 0.8 s at d = 5 and 12 s at d = 6 (Python 3.11.7, shared
+# 2-vCPU Intel Xeon), and 704 s at d = 7 (one run with another pivot-out
+# order, ROADMAP).  Above the cap, only systems that sign forcing closes
+# without an LP are answered.
 LP_DIMENSION_CAP = 7
 
 # --------------------------------------------------------------------------
@@ -409,13 +409,11 @@ def check_tight_system(
     pivot count (80 of 93 in the LP of a d = 5 M-matrix at b = 1).  Over the
     96 d = 4 inputs of the benchmark's certify-lp pool, the 16 M-matrices at
     b = 1 close; in the other 80 LPs the 2,155 phase-2 pivots take 85% of
-    the pivot time and the 2,560 pivot-outs 15%.  The LP of
-    ``random_m_matrix(Random(1), 7)`` at b = 1 takes 4.2 s: 1.9 s for its
-    448 pivot-outs and 2.2 s for its 344 phase-2 pivots (one run, Python
-    3.11.7, shared 2-vCPU Intel Xeon).  Each system row becomes one sparse
-    LP row over the columns of its own unknowns, and each bound y_k <= 1 a
-    one-term row.  The witness is re-verified exactly, with every anchor,
-    row and range check.
+    the pivot time and the 2,560 pivot-outs 15%.  From d = 5 on, an LP
+    that runs grows 15x or more per dimension, hence ``LP_DIMENSION_CAP``.
+    Each system row becomes one sparse LP row over the columns of its own
+    unknowns, and each bound y_k <= 1 a one-term row.  The witness is
+    re-verified exactly, with every anchor, row and range check.
     """
     system = build_system(reflection, b)
     nfree = len(system.variables)
@@ -583,16 +581,17 @@ def decide_tight_matrix(
 ) -> TightMatrixDecision:
     """Layered decision: sign certificates first, then the sampled LP oracle.
 
-    The certificates read one ``classify_matrix`` report.  Raises
+    The certificates read the class memberships of ``classify_matrix``
+    without its definiteness test, which no certificate needs.  Raises
     NotCompletelySError when the matrix fails the completely-S precondition,
     because the tight-matrix question presumes it.  A negative
     ``sample_count`` raises ReflectoError before any LP runs.
     """
     d = reflection.rows
     sampled = _sampled_b(d, sample_count, seed)
-    report = classify_matrix(reflection)
-    if not report.is_completely_s:
-        raise NotCompletelySError(report.failing_subset)
+    classes = _memberships(reflection)
+    if not classes["is_completely_s"]:
+        raise NotCompletelySError(classes["failing_subset"])
 
     ones = tuple(Fraction(1) for _ in range(d))
 
@@ -614,10 +613,10 @@ def decide_tight_matrix(
             "a completely-S 2x2 matrix must fall in a tight or nonnegative case"
         )
 
-    if report.has_staircase_pattern:
+    if classes["has_staircase_pattern"]:
         return TightMatrixDecision(DecisionStatus.TIGHT_PROVEN, ProofMethod.STAIRCASE)
 
-    if report.is_m:
+    if classes["is_m"]:
         return TightMatrixDecision(DecisionStatus.TIGHT_PROVEN, ProofMethod.M_MATRIX)
 
     tested: list[tuple[Rational, ...]] = []

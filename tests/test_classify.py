@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reflecto import (
@@ -225,8 +225,8 @@ def _lower_triangular_pivot(rng, d):
 
 def test_structured_p_matrices_visit_only_deciding_minors(monkeypatch):
     # each recursive call below the top level is one positive principal minor:
-    # a Z-matrix walks its 12 leading minors, a Hessenberg matrix its 78
-    # interval minors, a dense one all 4095
+    # a Z-matrix walks its 12 leading minors, a dense one all 4095; the
+    # interval-minor recurrence decides a Hessenberg matrix without the walk
     visited = Counter()
     walk = classify._first_nonpositive_minor
 
@@ -240,8 +240,8 @@ def test_structured_p_matrices_visit_only_deciding_minors(monkeypatch):
     staircase = random_staircase_matrix(rng, d)
     cases = {
         "z": (random_m_matrix(rng, d), 12),
-        "upper hessenberg": (staircase, 78),
-        "lower hessenberg": (staircase.transpose(), 78),
+        "upper hessenberg": (staircase, 0),
+        "lower hessenberg": (staircase.transpose(), 0),
         "dense": (random_p_not_m_matrix(rng, d), 4095),
     }
     for name, (M, minors) in cases.items():
@@ -295,6 +295,31 @@ _FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=Non
 def test_z_matrix_leading_chain_agrees_with_every_minor(M):
     # the leading chain decides P on a Z-matrix, and its first failure is
     # the first failing subset of the full walk, which visits it first
+    failing = _first_nonpositive_minor_by_det(M)
+    assert is_p_matrix(M) == (failing is None, failing)
+
+
+@st.composite
+def _hessenberg_matrices(draw):
+    """Upper or lower Hessenberg, d <= 6.  Diagonal shifts drawn per row
+    make about half the draws P-matrices and some fail only at a later
+    index, and small integer entries make some minors zero."""
+    d = draw(st.integers(1, 6))
+    entries = st.one_of(st.integers(-2, 2), _small_entries)
+    rows = [[draw(entries) if i <= j + 1 else 0 for j in range(d)] for i in range(d)]
+    for i in range(d):
+        rows[i][i] += draw(st.integers(0, 8))
+    M = RatMatrix(rows)
+    return M.transpose() if draw(st.booleans()) else M
+
+
+@_FUZZ
+@given(_hessenberg_matrices())
+# every interval minor before (1, 3) in lex order is positive
+@example(RatMatrix([[1, 0, 0], [0, 1, 2], [0, -1, 0]]))
+def test_hessenberg_interval_minors_agree_with_every_minor(M):
+    # the recurrence decides P; a failure is reported by the full walk, so a
+    # gapped subset such as (1, 3) that precedes every failing interval wins
     failing = _first_nonpositive_minor_by_det(M)
     assert is_p_matrix(M) == (failing is None, failing)
 

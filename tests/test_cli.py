@@ -372,7 +372,7 @@ def test_analyze_refuses_b_before_classifying(spec_file, monkeypatch, capsys):
         raise AssertionError("classify_matrix ran")
 
     monkeypatch.setattr(reflecto.cli, "classify_matrix", spy)
-    monkeypatch.setattr(reflecto.tightness, "classify_matrix", spy)
+    monkeypatch.setattr(reflecto.tightness, "_memberships", spy)
     capsys.readouterr()
     assert main(["analyze", spec_file, "--b", "1,1"]) == 1
     assert capsys.readouterr().err == "error: b has 2 entries for a 3x3 matrix\n"

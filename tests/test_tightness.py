@@ -567,6 +567,37 @@ def test_decide_requires_completely_s():
     assert info.value.failing_subset == (1, 2)
 
 
+def test_decide_runs_no_definiteness_test(monkeypatch):
+    # no certificate reads definiteness, so only classify_matrix computes it
+    calls = []
+    definite = reflecto.classify.is_positive_definite
+
+    def spy(matrix):
+        calls.append(matrix)
+        return definite(matrix)
+
+    monkeypatch.setattr(reflecto.classify, "is_positive_definite", spy)
+    staircase = RatMatrix([[2, 1, -1], [-1, 2, 1], [0, -1, 2]])
+    for R, method in (
+        (random_m_matrix(random.Random(3), 5), ProofMethod.M_MATRIX),
+        (staircase, ProofMethod.STAIRCASE),
+        (REFLECTION, None),  # refuted by the LP at unit b
+    ):
+        assert decide_tight_matrix(R).method is method
+        assert calls == []
+        reflecto.classify.classify_matrix(R)
+        assert calls == [R]
+        calls.clear()
+    # x2 > 2 x3 and x3 > 2 x2 have no positive solution: {1,2,3} is the
+    # first subset that is not an S-matrix
+    not_s = RatMatrix([[1, 0, 0], [0, 1, -2], [0, -2, 1]])
+    with pytest.raises(NotCompletelySError) as info:
+        decide_tight_matrix(not_s)
+    assert calls == []
+    assert info.value.failing_subset == reflecto.classify.classify_matrix(not_s).failing_subset
+    assert info.value.failing_subset == (1, 2, 3)
+
+
 def test_decide_sampled_stages():
     # Tight at unit b but outside every sign certificate: the column-scaled
     # variant of the reflection fixture, whose unit-b system is the fixture's
