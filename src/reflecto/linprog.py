@@ -40,6 +40,30 @@ row, where the row's denominator, or a derived row's scale, cancels; and a
 pivot moves the objective when its row's rhs is not 0.  So the pivot
 sequence depends only on the program, not on how rows are stored or reduced.
 
+Lazy rows are delayed constraint generation (Dantzig, Fulkerson & Johnson,
+1954).  The simplex solves the active rows alone.  Each lazy row that its
+optimum breaks is appended as an unstored row with a new slack, basic and
+negative, and a dual simplex (Chvatal, ch. 10) re-optimises from that basis;
+then the lazy rows are checked again.  A point that satisfies every row and
+is optimal for a relaxation is optimal.  Active rows that are infeasible
+make the program infeasible; active rows that are unbounded are solved once
+more with every row active.
+
+The dual phase keeps every reduced cost d_j >= 0.  It takes the row r with
+the most negative basic value, least index on ties, and enters the column
+with the least d_j / |a_rj| over the entries a_rj < 0; a row without one is
+infeasible.  Ties are broken lexicographically on the nonbasic columns when
+the phase starts, and again after each pivot with d_j > 0: the primal rule
+on the dual, with the cost of the k-th reference column raised by e^k.
+Column j's perturbed reduced cost is then (d_j, P_1j, P_2j, ...), where P_kj
+is 1 if j is the k-th reference column, 0 if that column is nonbasic and not
+j, and -a_ij if it is basic in row i.  Each starts lexicographically
+positive.  The columns of P are independent (B^-1 times the reference
+basis's columns is nonsingular), so no tie survives every k, the least-ratio
+pivot keeps each nonbasic vector lexicographically positive, and the
+perturbed objective strictly rises.  So no basis repeats until the objective
+moves, and the objective never falls.
+
 Programs are in standard form: every variable is nonnegative, and any other
 bound, such as x_k <= 1, is an ordinary constraint row.  A row stores only its
 nonzero (column, coefficient) terms.  ``row_value`` is the one exact
@@ -53,7 +77,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InternalInconsistencyError, MatrixShapeError
@@ -89,18 +114,20 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """minimize objective . x subject to constraints and x >= 0.
+    """minimize objective . x subject to constraints, lazy and x >= 0.
 
-    Every row must name distinct columns of the objective; this is checked
-    once, here, so the solver does not check it again.
+    ``lazy`` rows enter the solve only when its point breaks them.  Every
+    row must name distinct columns of the objective; this is checked once,
+    here, so the solver does not check it again.
     """
 
     objective: tuple[Rational, ...]
     constraints: tuple[Constraint, ...]
+    lazy: tuple[Constraint, ...] = ()
 
     def __post_init__(self) -> None:
         n = len(self.objective)
-        for row in self.constraints:
+        for row in self.constraints + self.lazy:
             columns = {j for j, _ in row.terms}
             if len(columns) != len(row.terms) or (
                 columns and not 0 <= min(columns) <= max(columns) < n
@@ -187,11 +214,9 @@ class _Tableau:
         # instead of an artificial.
         int_rows: list[tuple[dict[int, int], int]] = []
         for con, sc in zip(rows, slack_col):
-            mult = lcm(con.rhs.denominator, *(v.denominator for _, v in con.terms))
-            row = {col: v.numerator * (mult // v.denominator) for col, v in con.terms if v}
+            row, r = _scaled(con)
             if sc is not None:
                 row[sc] = -1 if con.relation is Relation.GE else 1
-            r = con.rhs.numerator * (mult // con.rhs.denominator)
             if r < 0 or (r == 0 and con.relation is Relation.GE):
                 row = {col: -v for col, v in row.items()}
                 r = -r
@@ -215,6 +240,7 @@ class _Tableau:
 
         self.m = m
         self.rhs_col = ncols
+        self.next_col = ncols + 1  # the next appended row's slack
         self.basis = basis
         self.where = {var: i for i, var in enumerate(basis)}
         self.T: list[dict[int, int]] = []
@@ -313,9 +339,17 @@ class _Tableau:
             L //= g
         return row, L
 
+    def _entry(self, i: int, c: int) -> int:
+        """Entry of row i in column c, over the row's denominator or derived scale."""
+        if i in self.unstored:
+            return _unstored_entry(self.unstored[i][0], 0, c, self.T, self.den, self.where)
+        return self.T[i].get(c, 0)
+
     def _entering(self, cost_row: dict[int, int]) -> Optional[int]:
         candidates = [
-            (v, j) for j, v in cost_row.items() if v < 0 and j < self.art_start
+            (v, j)
+            for j, v in cost_row.items()
+            if v < 0 and (j < self.art_start or j > self.rhs_col)
         ]
         return min(candidates)[1] if candidates else None
 
@@ -362,23 +396,14 @@ class _Tableau:
         row is left.  These entries are the rows of B^-1 B_ref, which is
         nonsingular, so no two rows stay tied through every column.
         """
-        T, den, where, unstored = self.T, self.den, self.where, self.unstored
         for col in reference:
-            r = where.get(col)
+            r = self.where.get(col)
             if r is not None:
                 # A basic column is a unit column: its one nonzero entry is 1,
                 # in row r, so every other tied row's ratio there is 0.
                 tied.pop(r, None)
             else:
-                ratios = {
-                    i: (
-                        _unstored_entry(unstored[i][0], 0, col, T, den, where)
-                        if i in unstored
-                        else T[i].get(col, 0),
-                        a,
-                    )
-                    for i, a in tied.items()
-                }
+                ratios = {i: (self._entry(i, col), a) for i, a in tied.items()}
                 low_num, low_den = min(ratios.values(), key=lambda ratio: Fraction(*ratio))
                 tied = {
                     i: a for i, (num, a) in ratios.items() if num * low_den == low_num * a
@@ -418,6 +443,94 @@ class _Tableau:
             pivots += 1
             if pivots > _MAX_PIVOTS:
                 raise InternalInconsistencyError("pivot limit exceeded")
+
+    def append(self, con: Constraint) -> None:
+        """Add ``con`` before the cost row as an unstored row a.x + s = r with
+        a new slack s basic; an equality adds the row and its negation."""
+        row, r = _scaled(con)
+        signs = {Relation.LE: (1,), Relation.GE: (-1,), Relation.EQ: (1, -1)}[con.relation]
+        for sign in signs:
+            i, s = self.m, self.next_col
+            self.T.insert(i, {})
+            self.den.insert(i, 1)
+            self.basis.append(s)
+            self.where[s] = i
+            self.unstored[i] = (tuple((j, sign * v) for j, v in row.items()), sign * r)
+            self.m, self.cost_row, self.next_col = i + 1, i + 1, s + 1
+
+    def run_dual_phase(self) -> bool:
+        """Dual simplex from dual-feasible rows (module docstring); False
+        when a row proves the program infeasible.  It runs after phase two,
+        so no row has an artificial column."""
+        rc = self.rhs_col
+        reference = self._nonbasic()
+        pivots = 0
+        while True:
+            r = self._dual_leaving()
+            if r is None:
+                return True
+            if r in self.unstored:
+                self.T[r], self.den[r] = self._derived_row(r)
+                del self.unstored[r]
+            cost = self.T[self.cost_row]
+            best, best_num, best_den, ties = None, 0, 1, None
+            for j, a in self.T[r].items():
+                if a >= 0 or j == rc:
+                    continue
+                num = cost.get(j, 0)
+                if best is None or num * best_den < best_num * -a:
+                    best, best_num, best_den, ties = j, num, -a, None
+                elif num * best_den == best_num * -a:
+                    ties = ties or {best: best_den}
+                    ties[j] = -a
+            if best is None:
+                return False
+            col = best if ties is None else self._dual_lex_least(ties, reference)
+            self._pivot(r, col)
+            if best_num:
+                reference = self._nonbasic()
+            pivots += 1
+            if pivots > _MAX_PIVOTS:
+                raise InternalInconsistencyError("pivot limit exceeded")
+
+    def _nonbasic(self) -> list[int]:
+        columns = chain(range(self.art_start), range(self.rhs_col + 1, self.next_col))
+        return [j for j in columns if j not in self.where]
+
+    def _dual_leaving(self) -> Optional[int]:
+        """The row with the most negative basic value, least index on ties."""
+        best, low_num, low_den = None, 0, 1
+        rc, T, den, where = self.rhs_col, self.T, self.den, self.where
+        for i in range(self.m):
+            if i in self.unstored:
+                terms, num = self.unstored[i]
+                num = _unstored_entry(terms, num, rc, T, den, where)
+                scale = prod(den[where[j]] for j, _ in terms if j in where)
+            else:
+                num, scale = T[i].get(rc, 0), den[i]
+            if num * low_den < low_num * scale:
+                best, low_num, low_den = i, num, scale
+        return best
+
+    def _dual_lex_least(self, tied: dict[int, int], reference: list[int]) -> int:
+        """Break a dual ratio tie between columns, given as ``{column: -a_rj}``.
+
+        For each reference column k in turn, keep the tied columns j whose
+        P_kj / -a_rj (module docstring) is least, until one is left.
+        """
+        for col in reference:
+            i = self.where.get(col)
+            if i is None:
+                tied.pop(col, None)
+            else:
+                ratios = {j: (-self._entry(i, j), a) for j, a in tied.items()}
+                low_num, low_den = min(ratios.values(), key=lambda ratio: Fraction(*ratio))
+                tied = {
+                    j: a for j, (num, a) in ratios.items() if num * low_den == low_num * a
+                }
+            if len(tied) == 1:
+                return next(iter(tied))
+        raise InternalInconsistencyError("lexicographic dual ratio test left a tie")
 
     def drop_artificials(self) -> None:
         """Delete the phase-one row and the artificial columns, then pivot
@@ -470,6 +583,13 @@ class _Tableau:
         )
 
 
+def _scaled(con: Constraint) -> tuple[dict[int, int], int]:
+    """The nonzero terms and rhs of ``con`` times the lcm of their denominators."""
+    mult = lcm(con.rhs.denominator, *(v.denominator for _, v in con.terms))
+    row = {col: v.numerator * (mult // v.denominator) for col, v in con.terms if v}
+    return row, con.rhs.numerator * (mult // con.rhs.denominator)
+
+
 def _unstored_entry(
     terms: tuple[tuple[int, int], ...],
     value: int,
@@ -508,8 +628,9 @@ def _unstored_entry(
 def lp_solve(program: LinearProgram) -> LpOutcome:
     """Minimise objective . x over the rows and x >= 0, exactly.
 
-    Every row enters the tableau, an all-zero one too: phase one reports it
-    infeasible exactly when ``0 <relation> rhs`` is false.  Statuses
+    Every active row enters the tableau, an all-zero one too: phase one
+    reports it infeasible exactly when ``0 <relation> rhs`` is false.  A
+    lazy row enters when the optimum breaks it (module docstring).  Statuses
     Infeasible/Unbounded are outcomes, not errors, and carry no point.
     """
     tab = _Tableau(
@@ -526,7 +647,26 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
         tab.drop_artificials()
 
     if not tab.run_phase(tab.cost_row, stop_at_zero=False):
+        if program.lazy:
+            return lp_solve(
+                LinearProgram(program.objective, program.constraints + program.lazy)
+            )
         return LpOutcome(LpStatus.UNBOUNDED)
+
+    pending = program.lazy
+    while pending:
+        point = tab.z_solution()
+        held = []
+        for row in pending:
+            if row.relation.holds(row_value(row.terms, point), row.rhs):
+                held.append(row)
+            else:
+                tab.append(row)
+        if len(held) == len(pending):
+            break
+        if not tab.run_dual_phase():
+            return LpOutcome(LpStatus.INFEASIBLE)
+        pending = held
 
     solution = tuple(tab.z_solution())
     optimum = tab.objective_value()
@@ -549,7 +689,7 @@ def row_value(
 
 def _check_point(program: LinearProgram, point: Sequence[Fraction]) -> None:
     """Exact feasibility check; a failure means the solver itself is broken."""
-    for row in program.constraints:
+    for row in program.constraints + program.lazy:
         if not row.relation.holds(row_value(row.terms, point), row.rhs):
             raise InternalInconsistencyError(
                 f"reported point violates constraint {row.terms} {row.relation.value} {row.rhs}"

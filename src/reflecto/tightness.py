@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -76,10 +76,10 @@ from .rational import Rational, RationalLike, as_rational, format_rational, pars
 
 # Largest d for which check_tight_system runs its LP.  On a system that sign
 # forcing leaves open, such as p_not_m_rows(Random(17), d) of perfbench at
-# b = 1, the LP took 0.8 s at d = 5 and 12 s at d = 6 (Python 3.11.7, shared
-# 2-vCPU Intel Xeon), and 704 s at d = 7 (one run with another pivot-out
-# order, ROADMAP).  Above the cap, only systems that sign forcing closes
-# without an LP are answered.
+# b = 1, the LP takes 0.06 s at d = 5, 0.8 s at d = 6 and 8 s at d = 7 (one
+# run each, Python 3.11.7, shared 2-vCPU Intel Xeon); with every
+# monotonicity row active it took 0.5 s, 8.4 s and 704 s.  Above the cap,
+# only systems that sign forcing closes without an LP are answered.
 LP_DIMENSION_CAP = 7
 
 # --------------------------------------------------------------------------
@@ -403,17 +403,20 @@ def check_tight_system(
     y_k <= 1 per unknown, maximising sum(y) over the rows of the bounded
     system (``_box_program``).  ``build_system`` has checked that every row
     is active at x = 1, so in y every row is homogeneous and gets rhs 0
-    without a second pass over its terms.  y = 0 is feasible, but the
-    solver still enters each balance equality with an artificial variable
-    and pivots it out before it optimises.  Those pivots can be most of the
-    pivot count (80 of 93 in the LP of a d = 5 M-matrix at b = 1).  Over the
-    96 d = 4 inputs of the benchmark's certify-lp pool, the 16 M-matrices at
-    b = 1 close; in the other 80 LPs the 2,155 phase-2 pivots take 85% of
-    the pivot time and the 2,560 pivot-outs 15%.  From d = 5 on, an LP
-    that runs grows 15x or more per dimension, hence ``LP_DIMENSION_CAP``.
-    Each system row becomes one sparse LP row over the columns of its own
-    unknowns, and each bound y_k <= 1 a one-term row.  The witness is
-    re-verified exactly, with every anchor, row and range check.
+    without a second pass over its terms.  The monotonicity rows, from two
+    thirds of the system at d = 4 to four fifths at d = 7, are lazy rows of
+    the LP: they enter only when the optimum breaks them, and the optimum
+    is that of the whole system.  y = 0 is feasible, but the solver still enters each balance
+    equality with an artificial variable and pivots it out before it
+    optimises (80 of 141 pivots on p_not_m_rows(Random(17), 5) at b = 1).
+    Over the 96 d = 4 inputs of the benchmark's certify-lp pool, the 16
+    M-matrices at b = 1 close; in the other 80 LPs the 1,548 phase-2
+    pivots take 55% of the pivot time, the 2,560 pivot-outs 23% and the
+    289 dual pivots after lazy rows 22%.  From d = 5 on, an LP that runs
+    grows about 10x per dimension, hence ``LP_DIMENSION_CAP``.  Each system
+    row becomes one sparse LP row over the columns of its own unknowns, and
+    each bound y_k <= 1 a one-term row.  The witness is re-verified
+    exactly on the whole system, with every anchor, row and range check.
     """
     system = build_system(reflection, b)
     nfree = len(system.variables)
@@ -425,7 +428,10 @@ def check_tight_system(
             f"dimension {system.dimension} exceeds the tightness-LP cap {LP_DIMENSION_CAP}, "
             f"and sign forcing leaves {left} of its {nfree} unknowns"
         )
-    outcome = lp_solve(_box_program(system))
+    program = _box_program(system)
+    active = tuple(row for row in program.constraints if row.relation is not Relation.GE)
+    lazy = tuple(row for row in program.constraints if row.relation is Relation.GE)
+    outcome = lp_solve(replace(program, constraints=active, lazy=lazy))
     if outcome.status is not LpStatus.OPTIMAL:
         raise InternalInconsistencyError(
             f"the box LP is feasible at y = 0 and bounded; the solver reported {outcome.status.value}"

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,8 @@ def test_terms_must_name_distinct_columns_of_the_objective(terms):
         linear_program([1, 1], [row])
     with pytest.raises(MatrixShapeError):
         lp_solve(LinearProgram((Fraction(1), Fraction(1)), (row,)))
+    with pytest.raises(MatrixShapeError):
+        LinearProgram((Fraction(1), Fraction(1)), (), (row,))
 
 
 def test_hand_built_zero_terms_are_dropped():
@@ -147,15 +150,16 @@ def test_hand_built_zero_terms_are_dropped():
 
 
 def test_check_point_rejects_a_point_that_breaks_a_row():
-    program = linear_program(
-        [1, 1], [constraint([1, 1], Relation.GE, 2), constraint([0, 1], Relation.LE, 1)]
-    )
-    linprog._check_point(program, (Fraction(1), Fraction(1)))
-    for point in ((Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(3))):
-        with pytest.raises(InternalInconsistencyError, match="violates constraint"):
-            linprog._check_point(program, point)
-    with pytest.raises(InternalInconsistencyError, match="negative"):
-        linprog._check_point(program, (Fraction(3), Fraction(-1)))
+    # the second row is checked whether it is active or lazy
+    rows = (constraint([1, 1], Relation.GE, 2), constraint([0, 1], Relation.LE, 1))
+    full = linear_program([1, 1], rows)
+    for program in (full, replace(full, constraints=rows[:1], lazy=rows[1:])):
+        linprog._check_point(program, (Fraction(1), Fraction(1)))
+        for point in ((Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(3))):
+            with pytest.raises(InternalInconsistencyError, match="violates constraint"):
+                linprog._check_point(program, point)
+        with pytest.raises(InternalInconsistencyError, match="negative"):
+            linprog._check_point(program, (Fraction(3), Fraction(-1)))
 
 
 @pytest.fixture
@@ -310,10 +314,21 @@ def test_pivot_limit_stops_a_phase(monkeypatch):
         lp_solve(_beale_program())
 
 
+def test_pivot_limit_stops_the_dual_phase(monkeypatch):
+    # x = 0 is optimal for the active row without a pivot; the lazy x >= 1
+    # takes one dual pivot, which the limit refuses
+    monkeypatch.setattr(linprog, "_MAX_PIVOTS", 0)
+    program = linear_program([1], [_cap(1, 0, 5)])
+    program = replace(program, lazy=(constraint([1], Relation.GE, 1),))
+    with pytest.raises(InternalInconsistencyError, match="pivot limit"):
+        lp_solve(program)
+
+
 def test_hard_p_not_m_program_pivot_count_is_pinned(monkeypatch):
     # This d = 5 system took 1,341 pivots when long degenerate runs switched
-    # to Bland's least-index pricing, and 256 when only runs of 12 or more
-    # degenerate pivots broke ties lexicographically; it takes 230.
+    # to Bland's least-index pricing, 256 when only runs of 12 or more
+    # degenerate pivots broke ties lexicographically, and 230 with every
+    # monotonicity row active; with those rows lazy it takes 154.
     pivots = []
     pivot = linprog._Tableau._pivot
 
@@ -325,7 +340,7 @@ def test_hard_p_not_m_program_pivot_count_is_pinned(monkeypatch):
     verdict = check_tight_system(random_p_not_m_matrix(random.Random(7), 5), (1,) * 5)
     assert not verdict.tight
     assert verdict.optimum == Fraction(9495272740414719542, 300868934493777695)
-    assert len(pivots) == 230
+    assert len(pivots) == 154
 
 
 def _random_program(rng: random.Random):
@@ -341,6 +356,102 @@ def _random_program(rng: random.Random):
         if 0.7 <= rng.random() < 0.85:
             rows.append(_cap(n, k, rng.randint(1, 5)))
     return linear_program(objective, rows)
+
+
+def _split(program, rng: random.Random):
+    """``program`` with each row made lazy at random."""
+    lazy = [rng.random() < 0.5 for _ in program.constraints]
+    rows = list(zip(program.constraints, lazy))
+    return replace(
+        program,
+        constraints=tuple(row for row, is_lazy in rows if not is_lazy),
+        lazy=tuple(row for row, is_lazy in rows if is_lazy),
+    )
+
+
+@pytest.fixture
+def dual_log(monkeypatch):
+    """Record each dual phase's result and every basis it pivots to; fail
+    if a basis repeats before the objective moves."""
+    log = {"phases": [], "lex": 0, "pivots": 0}
+    tableau = linprog._Tableau
+    run_dual, pivot, lex = tableau.run_dual_phase, tableau._pivot, tableau._dual_lex_least
+
+    def spy_run_dual(self):
+        self.dual_bases = {frozenset(self.basis)}
+        log["phases"].append(run_dual(self))
+        del self.dual_bases
+        return log["phases"][-1]
+
+    def spy_pivot(self, r, c):
+        bases = getattr(self, "dual_bases", None)
+        if bases is None:
+            pivot(self, r, c)
+            return
+        before = self.objective_value()
+        pivot(self, r, c)
+        if self.objective_value() != before:
+            bases.clear()
+        assert frozenset(self.basis) not in bases
+        bases.add(frozenset(self.basis))
+        log["pivots"] += 1
+
+    def spy_lex(self, tied, reference):
+        log["lex"] += 1
+        return lex(self, tied, reference)
+
+    monkeypatch.setattr(tableau, "run_dual_phase", spy_run_dual)
+    monkeypatch.setattr(tableau, "_pivot", spy_pivot)
+    monkeypatch.setattr(tableau, "_dual_lex_least", spy_lex)
+    return log
+
+
+@pytest.mark.parametrize("zero_objective", [False, True])
+def test_lazy_rows_keep_status_and_optimum(dual_log, zero_objective):
+    # lp_solve checks the point against the lazy rows too.  With a zero
+    # objective every reduced cost is 0, so every dual ratio test ties and
+    # the lexicographic rule picks each entering column; no basis repeats.
+    rng = random.Random(24)
+    for _ in range(400):
+        program = _random_program(rng)
+        if zero_objective:
+            program = replace(program, objective=(Fraction(0),) * len(program.objective))
+        outcome = lp_solve(_split(program, rng))
+        expected = lp_solve(program)
+        assert (outcome.status, outcome.optimum) == (expected.status, expected.optimum)
+    # some dual phases reached an optimum and some proved infeasibility
+    assert dual_log["phases"].count(True) > 20 and dual_log["phases"].count(False) > 20
+    assert dual_log["pivots"] > 50
+    assert (dual_log["lex"] > 20) is zero_objective
+
+
+def test_lazy_row_makes_the_program_infeasible(dual_log):
+    # max x with x <= 1 active: the lazy x >= 2 becomes s1 + s2 = -1 over
+    # the two slacks, with no negative entry to enter
+    program = linear_program([-1], [constraint([1], Relation.LE, 1)])
+    program = replace(program, lazy=(constraint([1], Relation.GE, 2),))
+    assert lp_solve(program) == linprog.LpOutcome(LpStatus.INFEASIBLE)
+    assert dual_log["phases"] == [False] and dual_log["pivots"] == 0
+
+
+def test_lazy_rows_bound_an_unbounded_active_program(dual_log):
+    # x - y <= 1 alone is unbounded in max x + y; the lazy caps bound it, so
+    # the program is solved once more with every row active
+    rows = (constraint([1, -1], Relation.LE, 1), _cap(2, 0, 3), _cap(2, 1, 3))
+    program = replace(linear_program([-1, -1], rows[:1]), lazy=rows[1:])
+    outcome = lp_solve(program)
+    assert outcome.status is LpStatus.OPTIMAL and outcome.optimum == -6
+    assert outcome.solution == (Fraction(3), Fraction(3))
+    assert dual_log["phases"] == []
+
+
+def test_lazy_equality_enters_as_two_rows():
+    # min x + y with x + y >= 1 active; the lazy x - y = 1/2 moves the
+    # optimal vertex from (1, 0) or (0, 1) to (3/4, 1/4)
+    program = linear_program([1, 1], [constraint([1, 1], Relation.GE, 1)])
+    program = replace(program, lazy=(constraint([1, -1], Relation.EQ, Fraction(1, 2)),))
+    outcome = lp_solve(program)
+    assert outcome.optimum == 1 and outcome.solution == (Fraction(3, 4), Fraction(1, 4))
 
 
 def test_against_float_solver():
@@ -435,8 +546,10 @@ def _solve_every_program():
     sampled b.  The d = 5 P-not-M matrix is drawn from its own seed, whose two
     LPs take 156 and 143 pivots; the draw of the shared stream takes 220 and
     251 (1,021 and 1,651 under the former Bland fallback).  The box LP is
-    solved directly: ``check_tight_system`` closes some of these systems by
-    sign forcing and would skip their LPs.
+    solved directly, with every row active: ``check_tight_system`` closes
+    some of these systems by sign forcing and would skip their LPs, and it
+    makes the monotonicity rows lazy, which takes the four d = 5 P-not-M
+    LPs to 134, 143, 151 and 148 pivots.
     """
     rng = random.Random(73)
     draws = [(rng, gen, d) for d in range(2, 6) for gen in (random_m_matrix, random_p_not_m_matrix)]

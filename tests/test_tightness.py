@@ -9,6 +9,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import reflecto.classify
 import reflecto.tightness as tightness
@@ -356,6 +358,44 @@ def test_seeded_verdicts_and_witnesses_are_pinned():
             records.append([str(verdict.optimum), table])
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == "0ef0c7ae09589ff318789f8ce15ce9ea3d9cd68b2c44610dcd55a20b86d016e7"
+
+
+@st.composite
+def _completely_s_pairs(draw):
+    """(R, b) with d <= 4 and R completely-S.  Off-diagonal entries are 0
+    with chance about one half, and all nonpositive in about half the draws
+    (Z-matrices, often tight).  The diagonal is row-dominant (so R is a
+    P-matrix) or half of that, filtered to completely-S."""
+    d = draw(st.integers(1, 4))
+    upper = draw(st.sampled_from([0, 4]))
+    off = st.one_of(st.just(Fraction(0)), st.fractions(-4, upper, max_denominator=4))
+    rows = [[draw(off) if i != j else Fraction(0) for j in range(d)] for i in range(d)]
+    halve = draw(st.booleans())
+    for i, row in enumerate(rows):
+        dominance = sum(abs(v) for v in row)
+        row[i] = (dominance / 2 if halve else dominance) + draw(
+            st.fractions(Fraction(1, 4), 4, max_denominator=4)
+        )
+    R = RatMatrix(rows)
+    assume(is_completely_s(R)[0])
+    b = [draw(st.fractions(Fraction(1, 8), 8, max_denominator=8)) for _ in range(d)]
+    return R, b
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_completely_s_pairs())
+def test_lazy_monotonicity_rows_keep_the_full_lp_optimum(pair):
+    # check_tight_system hands the monotonicity rows to the LP as lazy rows;
+    # its optimum must be that of the LP with every row active, and its
+    # witness must satisfy the whole system
+    R, b = pair
+    system = build_system(R, b)
+    verdict = check_tight_system(R, b)
+    full = lp_solve(tightness._box_program(system))
+    assert verdict.optimum == len(system.variables) + full.optimum
+    if not verdict.tight:
+        report = verify_assignment(system, verdict.witness)
+        assert report.ok and not report.is_all_ones
 
 
 def test_reflection_fixture_is_tight_for_some_b():
