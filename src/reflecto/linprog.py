@@ -66,10 +66,19 @@ moves, and the objective never falls.
 
 Programs are in standard form: every variable is nonnegative, and any other
 bound, such as x_k <= 1, is an ordinary constraint row.  A row stores only its
-nonzero (column, coefficient) terms.  ``row_value`` is the one exact
-evaluator of a row at a point: it re-checks each returned point against
-every row and its objective value against the optimum, and the tightness
-witness check uses it too.
+nonzero (column, coefficient) terms.
+
+The solver checks its own point in integers.  Each row is scaled once per
+solve to integer terms over the lcm of its denominators (``_scaled``): the
+tableau keeps its active rows in that form, and the lazy rows are scaled
+before the first check.  The basic solution is read as integers z over one
+denominator L, the lcm of the denominators of the rows that hold a basic
+unknown, and a row a.x <relation> r holds at z / L exactly when
+a.z <relation> r L.  That test picks the lazy rows to append; at the
+optimum it re-checks every active and lazy row and x >= 0, and the
+objective value is checked against the optimum.  ``row_value`` is the exact
+evaluator of a row at a rational point, which the tightness witness check
+uses.
 """
 
 from __future__ import annotations
@@ -175,6 +184,9 @@ def linear_program(
 # integer tableau
 # --------------------------------------------------------------------------
 
+# A constraint row in integers, as ``_scaled`` makes it: (terms, relation, rhs).
+_IntRow = tuple[tuple[tuple[int, int], ...], Relation, int]
+
 
 class _Tableau:
     """Simplex tableau of sparse integer rows, each over its own denominator.
@@ -208,16 +220,17 @@ class _Tableau:
                 ncols += 1
         self.art_start = ncols
 
-        # Integer-scale each constraint row without its zero terms, then
-        # negate it when its rhs is negative, or when it is a homogeneous GE
-        # row: its slack then has coefficient 1 and starts in the basis
-        # instead of an artificial.
+        # Integer-scale each constraint row without its zero terms, kept as
+        # is for the point check, then negate it when its rhs is negative, or
+        # when it is a homogeneous GE row: its slack then has coefficient 1
+        # and starts in the basis instead of an artificial.
+        self.rows: list[_IntRow] = [_scaled(con) for con in rows]
         int_rows: list[tuple[dict[int, int], int]] = []
-        for con, sc in zip(rows, slack_col):
-            row, r = _scaled(con)
+        for (terms, relation, r), sc in zip(self.rows, slack_col):
+            row = dict(terms)
             if sc is not None:
-                row[sc] = -1 if con.relation is Relation.GE else 1
-            if r < 0 or (r == 0 and con.relation is Relation.GE):
+                row[sc] = -1 if relation is Relation.GE else 1
+            if r < 0 or (r == 0 and relation is Relation.GE):
                 row = {col: -v for col, v in row.items()}
                 r = -r
             int_rows.append((row, r))
@@ -254,7 +267,8 @@ class _Tableau:
         # Objective scaled to integers; scale is reported back to the caller.
         cost_denoms = [v.denominator for v in cost.values()]
         self.obj_scale = lcm(*cost_denoms) if cost_denoms else 1
-        self.T.append({col: int(v * self.obj_scale) for col, v in cost.items()})
+        self.cost = tuple((col, int(v * self.obj_scale)) for col, v in cost.items())
+        self.T.append(dict(self.cost))
         self.cost_row = m
 
         self.phase1_row: Optional[int] = None
@@ -444,18 +458,19 @@ class _Tableau:
             if pivots > _MAX_PIVOTS:
                 raise InternalInconsistencyError("pivot limit exceeded")
 
-    def append(self, con: Constraint) -> None:
-        """Add ``con`` before the cost row as an unstored row a.x + s = r with
-        a new slack s basic; an equality adds the row and its negation."""
-        row, r = _scaled(con)
-        signs = {Relation.LE: (1,), Relation.GE: (-1,), Relation.EQ: (1, -1)}[con.relation]
+    def append(self, row: _IntRow) -> None:
+        """Add ``row``, from ``_scaled``, before the cost row as an unstored
+        row a.x + s = r with a new slack s basic; an equality adds the row
+        and its negation."""
+        terms, relation, r = row
+        signs = {Relation.LE: (1,), Relation.GE: (-1,), Relation.EQ: (1, -1)}[relation]
         for sign in signs:
             i, s = self.m, self.next_col
             self.T.insert(i, {})
             self.den.insert(i, 1)
             self.basis.append(s)
             self.where[s] = i
-            self.unstored[i] = (tuple((j, sign * v) for j, v in row.items()), sign * r)
+            self.unstored[i] = (terms if sign == 1 else tuple((j, -v) for j, v in terms), sign * r)
             self.m, self.cost_row, self.next_col = i + 1, i + 1, s + 1
 
     def run_dual_phase(self) -> bool:
@@ -568,13 +583,17 @@ class _Tableau:
 
     # -- extraction ----------------------------------------------------------
 
-    def z_solution(self) -> list[Fraction]:
-        z = [Fraction(0)] * self.nz
-        for i in range(self.m):
-            var = self.basis[i]
-            if var < self.nz:
-                z[var] = Fraction(self.T[i].get(self.rhs_col, 0), self.den[i])
-        return z
+    def int_point(self) -> tuple[list[int], int]:
+        """The basic solution as ``(z, L)``: x = z / L in integers, where L is
+        the lcm of the denominators of the rows whose basic variable is an
+        unknown (such a row is always stored)."""
+        T, den, rc = self.T, self.den, self.rhs_col
+        basic = [(var, i) for i, var in enumerate(self.basis) if var < self.nz]
+        scale = lcm(*(den[i] for _, i in basic))
+        z = [0] * self.nz
+        for var, i in basic:
+            z[var] = T[i].get(rc, 0) * (scale // den[i])
+        return z, scale
 
     def objective_value(self) -> Fraction:
         return Fraction(
@@ -583,11 +602,17 @@ class _Tableau:
         )
 
 
-def _scaled(con: Constraint) -> tuple[dict[int, int], int]:
-    """The nonzero terms and rhs of ``con`` times the lcm of their denominators."""
+def _scaled(con: Constraint) -> _IntRow:
+    """``con`` times the lcm of its denominators, without its zero terms."""
     mult = lcm(con.rhs.denominator, *(v.denominator for _, v in con.terms))
-    row = {col: v.numerator * (mult // v.denominator) for col, v in con.terms if v}
-    return row, con.rhs.numerator * (mult // con.rhs.denominator)
+    terms = tuple((col, v.numerator * (mult // v.denominator)) for col, v in con.terms if v)
+    return terms, con.relation, con.rhs.numerator * (mult // con.rhs.denominator)
+
+
+def _holds(row: _IntRow, z: Sequence[int], scale: int) -> bool:
+    """Whether the integer ``row`` holds at the point z / scale, scale > 0."""
+    terms, relation, rhs = row
+    return relation.holds(sum(a * z[j] for j, a in terms), rhs * scale)
 
 
 def _unstored_entry(
@@ -653,12 +678,13 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
             )
         return LpOutcome(LpStatus.UNBOUNDED)
 
-    pending = program.lazy
+    lazy = [_scaled(row) for row in program.lazy]
+    pending = lazy
     while pending:
-        point = tab.z_solution()
+        z, scale = tab.int_point()
         held = []
         for row in pending:
-            if row.relation.holds(row_value(row.terms, point), row.rhs):
+            if _holds(row, z, scale):
                 held.append(row)
             else:
                 tab.append(row)
@@ -668,11 +694,13 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
             return LpOutcome(LpStatus.INFEASIBLE)
         pending = held
 
-    solution = tuple(tab.z_solution())
+    z, scale = tab.int_point()
+    _check_point(chain(tab.rows, lazy), z, scale)
     optimum = tab.objective_value()
-    _check_point(program, solution)
-    if row_value(enumerate(program.objective), solution) != optimum:
+    if Fraction(sum(c * z[j] for j, c in tab.cost), tab.obj_scale * scale) != optimum:
         raise InternalInconsistencyError("objective value mismatch at reported optimum")
+    zero = Fraction(0)
+    solution = tuple(Fraction(v, scale) if v else zero for v in z)
     return LpOutcome(LpStatus.OPTIMAL, optimum=optimum, solution=solution)
 
 
@@ -687,12 +715,14 @@ def row_value(
     return sum((a * v for j, a in terms if (v := point[j])), Fraction(0))
 
 
-def _check_point(program: LinearProgram, point: Sequence[Fraction]) -> None:
-    """Exact feasibility check; a failure means the solver itself is broken."""
-    for row in program.constraints + program.lazy:
-        if not row.relation.holds(row_value(row.terms, point), row.rhs):
+def _check_point(rows: Iterable[_IntRow], z: Sequence[int], scale: int) -> None:
+    """Exact feasibility check of the point z / scale against integer rows
+    from ``_scaled`` and x >= 0; a failure means the solver itself is broken."""
+    for row in rows:
+        if not _holds(row, z, scale):
+            terms, relation, rhs = row
             raise InternalInconsistencyError(
-                f"reported point violates constraint {row.terms} {row.relation.value} {row.rhs}"
+                f"reported point violates constraint {terms} {relation.value} {rhs}"
             )
-    if any(x < 0 for x in point):
+    if any(v < 0 for v in z):
         raise InternalInconsistencyError("reported point has a negative coordinate")

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -67,7 +67,6 @@ from .linprog import (
     LinearProgram,
     LpStatus,
     Relation,
-    linear_program,
     lp_solve,
     row_value,
 )
@@ -412,11 +411,17 @@ def check_tight_system(
     Over the 96 d = 4 inputs of the benchmark's certify-lp pool, the 16
     M-matrices at b = 1 close; in the other 80 LPs the 1,548 phase-2
     pivots take 55% of the pivot time, the 2,560 pivot-outs 23% and the
-    289 dual pivots after lazy rows 22%.  From d = 5 on, an LP that runs
-    grows about 10x per dimension, hence ``LP_DIMENSION_CAP``.  Each system
-    row becomes one sparse LP row over the columns of its own unknowns, and
-    each bound y_k <= 1 a one-term row.  The witness is re-verified
-    exactly on the whole system, with every anchor, row and range check.
+    289 dual pivots after lazy rows 22%.  Pivots take about 58% of the
+    time of those 96 calls; the rest builds and closes the system, builds
+    the balance rows and the tableau, checks the LP's point and verifies
+    the witnesses.  From d = 5 on, an LP
+    that runs grows about 10x per dimension, hence ``LP_DIMENSION_CAP``.
+    Each balance row becomes one sparse LP row over the columns of its own
+    unknowns.  The bounds y_k <= 1, the monotonicity rows and the objective
+    depend only on d: ``_lp_frame`` builds them once per dimension, and only
+    once an LP is due, so a system that closes or is refused allocates
+    none.  The witness is re-verified exactly on the whole system, with
+    every anchor, row and range check.
     """
     system = build_system(reflection, b)
     nfree = len(system.variables)
@@ -428,10 +433,7 @@ def check_tight_system(
             f"dimension {system.dimension} exceeds the tightness-LP cap {LP_DIMENSION_CAP}, "
             f"and sign forcing leaves {left} of its {nfree} unknowns"
         )
-    program = _box_program(system)
-    active = tuple(row for row in program.constraints if row.relation is not Relation.GE)
-    lazy = tuple(row for row in program.constraints if row.relation is Relation.GE)
-    outcome = lp_solve(replace(program, constraints=active, lazy=lazy))
+    outcome = lp_solve(_box_program(system))
     if outcome.status is not LpStatus.OPTIMAL:
         raise InternalInconsistencyError(
             f"the box LP is feasible at y = 0 and bounded; the solver reported {outcome.status.value}"
@@ -450,18 +452,49 @@ def check_tight_system(
     return TightnessVerdict(False, nfree, optimum, witness)
 
 
+@dataclass(frozen=True)
+class _LpFrame:
+    """The part of every d x d box LP that does not depend on R or b.
+
+    ``column`` maps each free unknown to its LP column.  The first
+    ``balance_count`` system rows are the balance rows; the monotonicity rows
+    after them are ``lazy``, in y-columns and in the same order.  ``box``
+    has the rows y_k <= 1, and ``objective`` minimises -sum(y).
+    """
+
+    column: Mapping[VarIndex, int]
+    balance_count: int
+    objective: tuple[Rational, ...]
+    box: tuple[Constraint, ...]
+    lazy: tuple[Constraint, ...]
+
+
+@lru_cache(maxsize=1)
+def _lp_frame(d: int) -> _LpFrame:
+    """The LP frame of dimension d; one dimension is kept, as in ``_skeleton``."""
+    skeleton = _skeleton(d)
+    column = {var: k for k, var in enumerate(skeleton.variables)}
+    lazy = tuple(_y_row(row, column) for row in skeleton.monotone)
+    one = Fraction(1)
+    box = tuple(Constraint(((k, one),), Relation.LE, one) for k in range(len(column)))
+    return _LpFrame(column, len(skeleton.balance), (Fraction(-1),) * len(column), box, lazy)
+
+
+def _y_row(row: SystemRow, column: Mapping[VarIndex, int]) -> Constraint:
+    """``row`` in y = 1 - x over LP columns: its coefficients negate, and its
+    rhs is 0 because ``build_system`` checked that it is active at x = 1."""
+    return Constraint(tuple((column[var], -c) for var, c in row.terms), row.relation, Fraction(0))
+
+
 def _box_program(system: TightnessSystem) -> LinearProgram:
     """The LP of ``check_tight_system``: maximise sum(y) over the rows in
-    y = 1 - x, with y >= 0 and one row y_k <= 1 per unknown."""
-    column = {var: k for k, var in enumerate(system.variables)}
-    zero, one = Fraction(0), Fraction(1)
-    rows = [
-        Constraint(tuple((column[var], -c) for var, c in row.terms), row.relation, zero)
-        for row in system.rows
-    ]
-    rows.extend(Constraint(((k, one),), Relation.LE, one) for k in range(len(column)))
-    objective = [Fraction(-1)] * len(column)  # minimise -sum(y) = maximise sum(y)
-    return linear_program(objective, rows)
+    y = 1 - x, with y >= 0 and one row y_k <= 1 per unknown.
+
+    Only the balance rows are built here; the box rows, the lazy
+    monotonicity rows and the objective come from the cached frame."""
+    frame = _lp_frame(system.dimension)
+    balance = tuple(_y_row(row, frame.column) for row in system.rows[: frame.balance_count])
+    return LinearProgram(frame.objective, balance + frame.box, frame.lazy)
 
 
 def _unforced_count(system: TightnessSystem) -> int:

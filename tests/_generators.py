@@ -1,11 +1,12 @@
-"""Seeded random generators shared by the property and acceptance tests."""
+"""Seeded random generators and reference programs shared by the tests."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from reflecto import NetworkSpec, RatMatrix, reentrant_spec
+import reflecto.tightness as tightness
+from reflecto import LinearProgram, NetworkSpec, RatMatrix, Relation, reentrant_spec
 
 
 def random_rational(rng: random.Random, max_num: int = 8, max_den: int = 8) -> Fraction:
@@ -126,3 +127,13 @@ def random_reentrant_line(
         num = rng.randint(max(1, (den + 3) // 4), 4 * den)
         means.append(Fraction(num, den))
     return reentrant_spec(route, means, Fraction(1, 10), discipline)
+
+
+def all_active_box_program(system: tightness.TightnessSystem) -> LinearProgram:
+    """The box LP of ``check_tight_system`` with its lazy monotonicity rows
+    made active, between the balance rows and the box rows; the pinned
+    pivot tests measure the solver on this program."""
+    program = tightness._box_program(system)
+    balance = tuple(row for row in program.constraints if row.relation is Relation.EQ)
+    box = program.constraints[len(balance):]
+    return LinearProgram(program.objective, balance + program.lazy + box)

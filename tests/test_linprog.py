@@ -4,12 +4,14 @@ import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import reflecto.linprog as linprog
-import reflecto.tightness as tightness
-from _generators import random_m_matrix, random_p_not_m_matrix
+from _generators import all_active_box_program, random_m_matrix, random_p_not_m_matrix
 from reflecto import (
     Constraint,
     InternalInconsistencyError,
@@ -149,17 +151,72 @@ def test_hand_built_zero_terms_are_dropped():
     assert outcome.optimum == 1 and outcome.solution == (Fraction(0), Fraction(1))
 
 
+def _check_at(rows, point):
+    """``_check_point`` at the rational ``point``, over the integer forms of ``rows``."""
+    scale = lcm(*(x.denominator for x in point))
+    integer_rows = [linprog._scaled(row) for row in rows]
+    linprog._check_point(integer_rows, [int(x * scale) for x in point], scale)
+
+
+def _solve_recording_checks(program):
+    """``lp_solve(program)`` and the integer rows it hands to ``_check_point``."""
+    seen = []
+    check = linprog._check_point
+
+    def spy_check(rows, z, scale):
+        seen.append(list(rows))
+        check(seen[-1], z, scale)
+
+    linprog._check_point = spy_check
+    try:
+        return lp_solve(program), seen
+    finally:
+        linprog._check_point = check
+
+
 def test_check_point_rejects_a_point_that_breaks_a_row():
     # the second row is checked whether it is active or lazy
     rows = (constraint([1, 1], Relation.GE, 2), constraint([0, 1], Relation.LE, 1))
     full = linear_program([1, 1], rows)
     for program in (full, replace(full, constraints=rows[:1], lazy=rows[1:])):
-        linprog._check_point(program, (Fraction(1), Fraction(1)))
+        outcome, checked = _solve_recording_checks(program)
+        assert outcome.optimum == 2
+        assert checked == [[linprog._scaled(row) for row in rows]]
+        _check_at(rows, (Fraction(1), Fraction(1)))
         for point in ((Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(3))):
             with pytest.raises(InternalInconsistencyError, match="violates constraint"):
-                linprog._check_point(program, point)
+                _check_at(rows, point)
         with pytest.raises(InternalInconsistencyError, match="negative"):
-            linprog._check_point(program, (Fraction(3), Fraction(-1)))
+            _check_at(rows, (Fraction(3), Fraction(-1)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 3),
+    st.fractions(-3, 3, max_denominator=6).filter(bool),
+)
+def test_integer_point_check_agrees_with_row_value(seed, k, delta):
+    # lp_solve checks its point in integers against every active and lazy
+    # row; moved along one coordinate, the point must be rejected exactly
+    # when some row's relation fails in Fraction arithmetic through
+    # row_value, or when the point leaves x >= 0
+    rng = random.Random(seed)
+    program = _split(_random_program(rng), rng)
+    outcome, checked = _solve_recording_checks(program)
+    assume(outcome.status is LpStatus.OPTIMAL)
+    rows = program.constraints + program.lazy
+    assert checked == [[linprog._scaled(row) for row in rows]]
+    point = list(outcome.solution)
+    point[k % len(point)] += delta
+    breaks = any(
+        not row.relation.holds(linprog.row_value(row.terms, point), row.rhs) for row in rows
+    ) or any(x < 0 for x in point)
+    if breaks:
+        with pytest.raises(InternalInconsistencyError):
+            _check_at(rows, point)
+    else:
+        _check_at(rows, point)
 
 
 @pytest.fixture
@@ -558,7 +615,7 @@ def _solve_every_program():
         R = gen(stream, d)
         sampled = tuple(Fraction(stream.randint(1, 16), stream.randint(1, 16)) for _ in range(d))
         for b in ((1,) * d, sampled):
-            yield lp_solve(tightness._box_program(build_system(R, b)))
+            yield lp_solve(all_active_box_program(build_system(R, b)))
     rng = random.Random(21)
     for _ in range(60):
         yield lp_solve(_random_program(rng))

@@ -40,7 +40,7 @@ from reflecto import (
     verify_assignment,
 )
 
-from _generators import random_m_matrix, random_matrix
+from _generators import all_active_box_program, random_m_matrix, random_matrix
 
 REFLECTION = RatMatrix([[1, 0, 0], [-3, 1, 0], [3, -2, 1]])
 ONES3 = (Fraction(1), Fraction(1), Fraction(1))
@@ -391,7 +391,7 @@ def test_lazy_monotonicity_rows_keep_the_full_lp_optimum(pair):
     R, b = pair
     system = build_system(R, b)
     verdict = check_tight_system(R, b)
-    full = lp_solve(tightness._box_program(system))
+    full = lp_solve(all_active_box_program(system))
     assert verdict.optimum == len(system.variables) + full.optimum
     if not verdict.tight:
         report = verify_assignment(system, verdict.witness)
@@ -482,13 +482,31 @@ def test_lp_above_dimension_cap_is_refused_when_unknowns_are_left(monkeypatch):
 
 
 def test_sign_forcing_certifies_m_matrix_above_the_lp_cap(monkeypatch):
+    # neither the LP nor its cached frame of fixed rows is built
     def fail(*args, **kwargs):
-        raise AssertionError("an LP ran on a system closed by sign forcing")
+        raise AssertionError("an LP or its frame was built on a system closed by sign forcing")
 
     monkeypatch.setattr(tightness, "lp_solve", fail)
+    monkeypatch.setattr(tightness, "_lp_frame", fail)
     d = LP_DIMENSION_CAP + 1
     verdict = check_tight_system(random_m_matrix(random.Random(1), d), [1] * d)
     assert verdict == tightness.TightnessVerdict(True, 1271, Fraction(1271), None)
+
+
+def test_box_programs_of_one_dimension_share_the_cached_frame():
+    # only the balance rows depend on (R, b); the box rows, the lazy
+    # monotonicity rows and the objective are the same objects at one d
+    rng = random.Random(3)
+    first = tightness._box_program(build_system(random_m_matrix(rng, 4), [1] * 4))
+    second = tightness._box_program(build_system(random_matrix(rng, 4), [2, 1, 3, 1]))
+    assert first.lazy is second.lazy and first.objective is second.objective
+    assert len(first.lazy) == 64 and all(row.relation is Relation.GE for row in first.lazy)
+    balance, box = first.constraints[:32], first.constraints[32:]
+    assert all(row.relation is Relation.EQ for row in balance)
+    assert box == second.constraints[32:] == tuple(
+        tightness.Constraint(((k, Fraction(1)),), Relation.LE, Fraction(1)) for k in range(43)
+    )
+    assert balance != second.constraints[:32]
 
 
 def test_sign_forced_systems_have_lp_optimum_at_the_variable_count():
@@ -503,7 +521,7 @@ def test_sign_forced_systems_have_lp_optimum_at_the_variable_count():
         if tightness._unforced_count(system):
             continue
         closed += 1
-        outcome = lp_solve(tightness._box_program(system))
+        outcome = lp_solve(all_active_box_program(system))
         assert outcome.optimum == 0, (R.to_strings(), b)
         assert check_tight_system(R, b) == tightness.TightnessVerdict(
             True, len(system.variables), Fraction(len(system.variables)), None
