@@ -68,17 +68,20 @@ Programs are in standard form: every variable is nonnegative, and any other
 bound, such as x_k <= 1, is an ordinary constraint row.  A row stores only its
 nonzero (column, coefficient) terms.
 
-The solver checks its own point in integers.  Each row is scaled once per
-solve to integer terms over the lcm of its denominators (``_scaled``): the
-tableau keeps its active rows in that form, and the lazy rows are scaled
-before the first check.  The basic solution is read as integers z over one
-denominator L, the lcm of the denominators of the rows that hold a basic
-unknown, and a row a.x <relation> r holds at z / L exactly when
-a.z <relation> r L.  That test picks the lazy rows to append; at the
-optimum it re-checks every active and lazy row and x >= 0, and the
-objective value is checked against the optimum.  ``row_value`` is the exact
-evaluator of a row at a rational point, which the tightness witness check
-uses.
+Each ``Constraint`` checks its columns and scales itself to integer terms
+over the lcm of its denominators (``_scaled``) once, on first use, and keeps
+both: a row that many programs share, such as the fixed rows of the
+tightness LP, pays for them once, not once per solve.
+
+The solver checks its own point in integers.  The tableau keeps its active
+rows in their integer form, and the lazy rows are checked in theirs.  The
+basic solution is read as integers z over one denominator L, the lcm of the
+denominators of the rows that hold a basic unknown, and a row
+a.x <relation> r holds at z / L exactly when a.z <relation> r L.  That test
+picks the lazy rows to append; at the optimum it re-checks every active and
+lazy row and x >= 0, and the objective value is checked against the
+optimum.  ``row_value`` is the exact evaluator of a row at a rational
+point, which the tightness witness check uses for a failed row's detail.
 """
 
 from __future__ import annotations
@@ -86,6 +89,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
@@ -108,6 +112,10 @@ class Relation(Enum):
         return lhs <= rhs if self is Relation.LE else lhs >= rhs
 
 
+# A constraint row in integers, as ``_scaled`` makes it: (terms, relation, rhs).
+_IntRow = tuple[tuple[tuple[int, int], ...], Relation, int]
+
+
 @dataclass(frozen=True)
 class Constraint:
     """sum(a * x[j] for j, a in terms) <relation> rhs.
@@ -120,14 +128,27 @@ class Constraint:
     relation: Relation
     rhs: Rational
 
+    @cached_property
+    def _last_column(self) -> Optional[int]:
+        """The greatest column named, -1 for none; None when a column
+        repeats or is negative."""
+        columns = {j for j, _ in self.terms}
+        if len(columns) != len(self.terms) or (columns and min(columns) < 0):
+            return None
+        return max(columns, default=-1)
+
+    @cached_property
+    def _int_row(self) -> _IntRow:
+        return _scaled(self)
+
 
 @dataclass(frozen=True)
 class LinearProgram:
     """minimize objective . x subject to constraints, lazy and x >= 0.
 
     ``lazy`` rows enter the solve only when its point breaks them.  Every
-    row must name distinct columns of the objective; this is checked once,
-    here, so the solver does not check it again.
+    row must name distinct columns of the objective; this is checked here,
+    so the solver does not check it again.
     """
 
     objective: tuple[Rational, ...]
@@ -137,10 +158,8 @@ class LinearProgram:
     def __post_init__(self) -> None:
         n = len(self.objective)
         for row in self.constraints + self.lazy:
-            columns = {j for j, _ in row.terms}
-            if len(columns) != len(row.terms) or (
-                columns and not 0 <= min(columns) <= max(columns) < n
-            ):
+            last = row._last_column
+            if last is None or last >= n:
                 raise MatrixShapeError(
                     f"constraint terms must name distinct columns 0..{n - 1}, got {row.terms}"
                 )
@@ -184,10 +203,6 @@ def linear_program(
 # integer tableau
 # --------------------------------------------------------------------------
 
-# A constraint row in integers, as ``_scaled`` makes it: (terms, relation, rhs).
-_IntRow = tuple[tuple[tuple[int, int], ...], Relation, int]
-
-
 class _Tableau:
     """Simplex tableau of sparse integer rows, each over its own denominator.
 
@@ -220,11 +235,11 @@ class _Tableau:
                 ncols += 1
         self.art_start = ncols
 
-        # Integer-scale each constraint row without its zero terms, kept as
-        # is for the point check, then negate it when its rhs is negative, or
+        # Each constraint row in integers without its zero terms, kept as is
+        # for the point check, then negated when its rhs is negative, or
         # when it is a homogeneous GE row: its slack then has coefficient 1
         # and starts in the basis instead of an artificial.
-        self.rows: list[_IntRow] = [_scaled(con) for con in rows]
+        self.rows: list[_IntRow] = [con._int_row for con in rows]
         int_rows: list[tuple[dict[int, int], int]] = []
         for (terms, relation, r), sc in zip(self.rows, slack_col):
             row = dict(terms)
@@ -678,7 +693,7 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
             )
         return LpOutcome(LpStatus.UNBOUNDED)
 
-    lazy = [_scaled(row) for row in program.lazy]
+    lazy = [row._int_row for row in program.lazy]
     pending = lazy
     while pending:
         z, scale = tab.int_point()

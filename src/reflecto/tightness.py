@@ -122,26 +122,59 @@ class VarIndex:
 
 @lru_cache(maxsize=1)
 def canonical_variables(d: int) -> tuple[VarIndex, ...]:
-    """Every canonical variable, constants included: 2^d + d*2^(d-1) names.
+    """Every canonical variable, constants included: 2^d + d*2^(d-1) names,
+    in ``VarIndex.sort_key`` order, which is the order of ``_canonical_ids``.
 
     The names for the most recent d are kept, so the systems and witnesses of
     one dimension share them; at d = 12 they take about 20 MiB, which is why
     only one dimension is kept.
     """
-    out = [VarIndex.plain(subset) for subset in _all_subsets(d)]
-    for j in range(1, d + 1):
-        others = [i for i in range(1, d + 1) if i != j]
-        out.extend(VarIndex(frozenset(s), j) for s in _all_subsets_of(others))
-    return tuple(sorted(out, key=VarIndex.sort_key))
+    return tuple(
+        VarIndex(frozenset(i + 1 for i in range(d) if k >> i & 1), k >> d or None)
+        for k in _canonical_ids(d)
+    )
 
 
-def _all_subsets(d: int):
-    return _all_subsets_of(list(range(1, d + 1)))
+# Every unknown also has an integer id.  With n = 2^d and bit i - 1 standing
+# for index i, the interior x_D is the bitmask of D, and the boundary x_S^(j),
+# with j outside S, is j * n + S; the constants are the ids 0 and j * n.
+def _canonical_ids(d: int) -> list[int]:
+    """Every id, constants included, in the order of ``canonical_variables``:
+    each family in the lexicographic order of its subsets' indices."""
+    n = 1 << d
+    order = sorted(range(n), key=lambda S: [i for i in range(d) if S >> i & 1])
+    return order + [j * n + S for j in range(1, d + 1) for S in order if not S >> j - 1 & 1]
 
 
-def _all_subsets_of(items: Sequence[int]):
-    for size in range(len(items) + 1):
-        yield from (tuple(c) for c in combinations(items, size))
+def _balance_sets(d: int):
+    """``(members, D, slots)`` per nonempty D, in balance-row order (by size,
+    then as ``combinations`` lists them): D's 0-based indices, the id of
+    x_D, and the ids of x_D^(j+1) by j, None for the anchor of D = {j+1}."""
+    n = 1 << d
+    for size in range(1, d + 1):
+        for members in combinations(range(d), size):
+            D = sum(1 << i for i in members)
+            slots = tuple(
+                None if D == 1 << j else (j + 1) * n + (D & ~(1 << j)) for j in range(d)
+            )
+            yield members, D, slots
+
+
+def _cover_pairs(d: int):
+    """``(lower, upper)`` ids of each monotonicity row x_D >= x_{D+m}, in
+    row order: by family, then D in balance-row order, then m.  D is not
+    empty: a cover from an anchor is part of the box."""
+    n = 1 << d
+    nonempty = [D for _, D, _ in _balance_sets(d)]
+    for j in range(d + 1):
+        base, own = j * n, (1 << j - 1 if j else 0)
+        for D in nonempty:
+            if D & own:
+                continue
+            for m in range(d):
+                bit = 1 << m
+                if not (D & bit or bit == own):
+                    yield base + D, base + (D | bit)
 
 
 # --------------------------------------------------------------------------
@@ -198,43 +231,25 @@ class _Skeleton:
 def _skeleton(d: int) -> _Skeleton:
     """Rows and variables of the d x d system; one dimension is kept, as in
     ``canonical_variables``."""
-    indices = list(range(1, d + 1))
-    nonempty = [frozenset(subset) for subset in _all_subsets(d) if subset]
-
-    def set_name(subset) -> str:
-        return "{" + ",".join(str(i) for i in sorted(subset)) + "}"
-
+    var = dict(zip(_canonical_ids(d), canonical_variables(d)))
     balance = []
-    for dset in nonempty:
-        slots = []
-        for j in indices:
-            var = VarIndex.boundary(j, dset)
-            slots.append((j - 1, None if var.is_constant else var))
-        plain, slots = VarIndex.plain(dset), tuple(slots)
-        balance.extend(
-            (f"balance[D={set_name(dset)},i={i}]", i - 1, plain, slots) for i in sorted(dset)
-        )
+    for members, D, slots in _balance_sets(d):
+        name = "{" + ",".join(str(i + 1) for i in members) + "}"
+        pairs = tuple((j, None if s is None else var[s]) for j, s in enumerate(slots))
+        balance.extend((f"balance[D={name},i={i + 1}]", i, var[D], pairs) for i in members)
 
-    # monotonicity rows on cover pairs, interior family first; transitivity
-    # supplies the full order, and a cover from an anchor is part of the box
-    monotone = []
     one, minus_one, zero = Fraction(1), Fraction(-1), Fraction(0)
-    for j in (None, *indices):
-        for dset in nonempty:
-            if j in dset:
-                continue
-            for m in indices:
-                if m in dset or m == j:
-                    continue
-                lower, upper = VarIndex(dset, j), VarIndex(dset | {m}, j)
-                monotone.append(
-                    SystemRow(
-                        f"mono[{lower.key()}>={upper.key()}]",
-                        ((lower, one), (upper, minus_one)),
-                        Relation.GE,
-                        zero,
-                    )
-                )
+    monotone = []
+    for lower, upper in _cover_pairs(d):
+        lower, upper = var[lower], var[upper]
+        monotone.append(
+            SystemRow(
+                f"mono[{lower.key()}>={upper.key()}]",
+                ((lower, one), (upper, minus_one)),
+                Relation.GE,
+                zero,
+            )
+        )
     variables = tuple(v for v in canonical_variables(d) if not v.is_constant)
     return _Skeleton(variables, tuple(balance), tuple(monotone))
 
@@ -254,8 +269,7 @@ def build_system(reflection: RatMatrix, b: Sequence[RationalLike]) -> TightnessS
     scale = _check_inputs(reflection, b)
     d = reflection.rows
     skeleton = _skeleton(d)
-    coefficients = [[reflection.at(i, j) * scale[j] for j in range(d)] for i in range(d)]
-    interior = [-sum(row, Fraction(0)) for row in coefficients]
+    coefficients, interior = _products(reflection, scale)
 
     rows: list[SystemRow] = []
     zero = Fraction(0)
@@ -287,20 +301,44 @@ def build_system(reflection: RatMatrix, b: Sequence[RationalLike]) -> TightnessS
     )
 
 
-def _slack_at_ones(row: SystemRow) -> Rational:
-    """rhs minus the row's lhs at x = 1, that is minus its coefficient sum.
+def _products(
+    reflection: RatMatrix, scale: Sequence[Rational]
+) -> tuple[list[list[Rational]], list[Rational]]:
+    """The x coefficients of balance row (D, i): R_ij b_j on x_D^(j), as
+    ``coefficients[i][j]``, and minus their sum on x_D, as ``interior[i]``."""
+    d = reflection.rows
+    coefficients = [[reflection.at(i, j) * scale[j] for j in range(d)] for i in range(d)]
+    return coefficients, [-sum(row, Fraction(0)) for row in coefficients]
 
-    Exact, summed in integers over one running denominator: it runs on every
-    row of every system, where a Fraction sum would reduce at each term.
+
+def _row_sum(
+    terms: Sequence[tuple[VarIndex, Rational]], weight: Optional[Mapping[VarIndex, Rational]] = None
+) -> tuple[int, int]:
+    """sum(c * weight[var]) over a row's terms, weight 1 when None, as
+    (num, den) with den > 0.
+
+    Summed in integers over one running denominator, which grows only when
+    a term's denominator differs from it: a Fraction sum would reduce at
+    each term, and this runs on every row of every system built.
     """
-    num, den = row.rhs.numerator, row.rhs.denominator
-    for _, c in row.terms:
+    num, den = 0, 1
+    for var, c in terms:
         n, d = c.numerator, c.denominator
+        if weight is not None:
+            w = weight[var]
+            n, d = n * w.numerator, d * w.denominator
         if d == den:
-            num -= n
+            num += n
         else:
-            num, den = num * d - n * den, den * d
-    return Fraction(num, den)
+            num, den = num * d + n * den, den * d
+    return num, den
+
+
+def _slack_at_ones(row: SystemRow) -> Rational:
+    """rhs minus the row's lhs at x = 1, that is minus its coefficient sum."""
+    num, den = _row_sum(row.terms)
+    rhs = row.rhs
+    return Fraction(rhs.numerator * den - num * rhs.denominator, rhs.denominator * den)
 
 
 # --------------------------------------------------------------------------
@@ -337,6 +375,10 @@ def verify_assignment(
     The assignment must cover every canonical variable of the system's
     dimension (constants included).  Failures come in check order: anchors,
     then rows, then ranges; a check that passes leaves no record.
+
+    Each row's lhs is summed in integers by ``_row_sum``, over the
+    denominators of that row's own terms; a failed row's lhs is evaluated
+    again by ``row_value``, in Fractions, for its detail.
     """
     everything = canonical_variables(system.dimension)
     for var in everything:
@@ -351,9 +393,12 @@ def verify_assignment(
                 CheckResult(f"anchor[{var.key()}=1]", f"{var.key()} = {format_rational(value[var])}")
             )
     for row in system.rows:
-        lhs = row_value(row.terms, value)
-        if not row.relation.holds(lhs, row.rhs):
-            detail = f"lhs = {format_rational(lhs)}, rhs = {format_rational(row.rhs)}"
+        num, den = _row_sum(row.terms, value)
+        # lhs = num / den against the rhs, both denominators positive
+        rhs = row.rhs
+        if not row.relation.holds(num * rhs.denominator, rhs.numerator * den):
+            lhs = row_value(row.terms, value)
+            detail = f"lhs = {format_rational(lhs)}, rhs = {format_rational(rhs)}"
             failed.append(CheckResult(row.label, detail))
     for var in system.variables:
         if not 0 <= value[var] <= 1:
@@ -390,50 +435,55 @@ def check_tight_system(
 ) -> TightnessVerdict:
     """Decide whether (R, b) admits only the all-ones solution.
 
-    Before any LP row is built, ``_unforced_count`` closes the system under
-    sign forcing.  When every unknown is forced the system is tight and no
-    LP runs: every dense M-matrix system at b = 1 tried closes this way,
-    ``random_m_matrix(Random(1), 8)`` among them.  Otherwise one LP runs on
-    the whole system.  ``build_system`` refuses d above
-    DEFAULT_DIMENSION_CAP; above ``LP_DIMENSION_CAP`` a DimensionCapError
-    names how many unknowns the closure leaves.
+    First ``_unforced_count`` closes the system under sign forcing, from
+    the signs of R_ij b_j and (R b)_i alone; no system, variable name or LP
+    row is built for it.  When every unknown is forced the system is tight
+    and no LP runs: every dense M-matrix system at b = 1 tried closes this
+    way, ``random_m_matrix(Random(1), 12)`` among them, in 5 ms.  Otherwise
+    one LP runs on the whole system.  ``_check_inputs`` refuses d above
+    DEFAULT_DIMENSION_CAP before any subset is enumerated; above
+    ``LP_DIMENSION_CAP`` a DimensionCapError names how many unknowns the
+    closure leaves.
 
     The LP runs on the substitution y = 1 - x with y >= 0 and one row
     y_k <= 1 per unknown, maximising sum(y) over the rows of the bounded
-    system (``_box_program``).  ``build_system`` has checked that every row
-    is active at x = 1, so in y every row is homogeneous and gets rhs 0
-    without a second pass over its terms.  The monotonicity rows, from two
+    system (``_box_program``).  Every row is active at x = 1, so in y every
+    row is homogeneous, with rhs 0.  The monotonicity rows, from two
     thirds of the system at d = 4 to four fifths at d = 7, are lazy rows of
     the LP: they enter only when the optimum breaks them, and the optimum
-    is that of the whole system.  y = 0 is feasible, but the solver still enters each balance
-    equality with an artificial variable and pivots it out before it
-    optimises (80 of 141 pivots on p_not_m_rows(Random(17), 5) at b = 1).
-    Over the 96 d = 4 inputs of the benchmark's certify-lp pool, the 16
-    M-matrices at b = 1 close; in the other 80 LPs the 1,548 phase-2
-    pivots take 55% of the pivot time, the 2,560 pivot-outs 23% and the
-    289 dual pivots after lazy rows 22%.  Pivots take about 58% of the
-    time of those 96 calls; the rest builds and closes the system, builds
-    the balance rows and the tableau, checks the LP's point and verifies
-    the witnesses.  From d = 5 on, an LP
-    that runs grows about 10x per dimension, hence ``LP_DIMENSION_CAP``.
-    Each balance row becomes one sparse LP row over the columns of its own
-    unknowns.  The bounds y_k <= 1, the monotonicity rows and the objective
-    depend only on d: ``_lp_frame`` builds them once per dimension, and only
-    once an LP is due, so a system that closes or is refused allocates
-    none.  The witness is re-verified exactly on the whole system, with
-    every anchor, row and range check.
+    is that of the whole system.  y = 0 is feasible, but the solver still
+    enters each balance equality with an artificial variable and pivots it
+    out before it optimises (80 of 141 pivots on p_not_m_rows(Random(17), 5)
+    at b = 1).  Over the 96 d = 4 inputs of the benchmark's certify-lp
+    pool, the 16 M-matrices at b = 1 close; in the other 80 LPs the 1,548
+    phase-2 pivots take 55% of the pivot time, the 2,560 pivot-outs 23% and
+    the 289 dual pivots after lazy rows 22%.  Of the time of those 96
+    calls, pivots take about 68% and the rest of the solver 24% (its
+    tableau, ratio tests and point checks); the balance rows take 2%, the
+    products R_ij b_j 1%, the closure 0.7%, and building and verifying the
+    system for the 32 witnesses 3% (each function timed by a wrapper).
+    From d = 5 on, an LP that runs grows about 10x per dimension, hence
+    ``LP_DIMENSION_CAP``.  Each balance row becomes one sparse LP row over
+    the columns of its own unknowns.  The bounds y_k <= 1, the monotonicity
+    rows and the objective depend only on d: ``_lp_frame`` builds them once
+    per dimension, and only once an LP is due, so a system that closes or
+    is refused allocates none.  The system itself is built only for a
+    witness, which is re-verified exactly on it, with every anchor, row and
+    range check.
     """
-    system = build_system(reflection, b)
-    nfree = len(system.variables)
-    left = _unforced_count(system)
+    scale = _check_inputs(reflection, b)
+    d = reflection.rows
+    coefficients, interior = _products(reflection, scale)
+    nfree = _free_count(d)
+    left = _unforced_count(coefficients, interior)
     if not left:
         return TightnessVerdict(True, nfree, Fraction(nfree), None)
-    if system.dimension > LP_DIMENSION_CAP:
+    if d > LP_DIMENSION_CAP:
         raise DimensionCapError(
-            f"dimension {system.dimension} exceeds the tightness-LP cap {LP_DIMENSION_CAP}, "
+            f"dimension {d} exceeds the tightness-LP cap {LP_DIMENSION_CAP}, "
             f"and sign forcing leaves {left} of its {nfree} unknowns"
         )
-    outcome = lp_solve(_box_program(system))
+    outcome = lp_solve(_box_program(coefficients, interior))
     if outcome.status is not LpStatus.OPTIMAL:
         raise InternalInconsistencyError(
             f"the box LP is feasible at y = 0 and bounded; the solver reported {outcome.status.value}"
@@ -442,8 +492,9 @@ def check_tight_system(
     optimum = nfree + outcome.optimum
     if optimum == nfree:
         return TightnessVerdict(True, nfree, optimum, None)
+    system = build_system(reflection, scale)
     one = Fraction(1)
-    witness = {v: one for v in canonical_variables(system.dimension) if v.is_constant}
+    witness = {v: one for v in canonical_variables(d) if v.is_constant}
     for var, y in zip(system.variables, outcome.solution):
         witness[var] = one - y
     report = verify_assignment(system, witness)
@@ -456,14 +507,13 @@ def check_tight_system(
 class _LpFrame:
     """The part of every d x d box LP that does not depend on R or b.
 
-    ``column`` maps each free unknown to its LP column.  The first
-    ``balance_count`` system rows are the balance rows; the monotonicity rows
-    after them are ``lazy``, in y-columns and in the same order.  ``box``
+    ``balance`` has one ``(i, column of x_D, ((j, column of x_D^(j+1)),
+    ...))`` per balance row, in row order, with the anchor left out.
+    ``lazy`` has the monotonicity rows in y-columns, in row order; ``box``
     has the rows y_k <= 1, and ``objective`` minimises -sum(y).
     """
 
-    column: Mapping[VarIndex, int]
-    balance_count: int
+    balance: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
     objective: tuple[Rational, ...]
     box: tuple[Constraint, ...]
     lazy: tuple[Constraint, ...]
@@ -471,62 +521,116 @@ class _LpFrame:
 
 @lru_cache(maxsize=1)
 def _lp_frame(d: int) -> _LpFrame:
-    """The LP frame of dimension d; one dimension is kept, as in ``_skeleton``."""
-    skeleton = _skeleton(d)
-    column = {var: k for k, var in enumerate(skeleton.variables)}
-    lazy = tuple(_y_row(row, column) for row in skeleton.monotone)
-    one = Fraction(1)
+    """The LP frame of dimension d; one dimension is kept, as in ``_skeleton``.
+
+    The free unknowns take their columns in ``canonical_variables`` order,
+    so the LP's point lines up with the system's variables."""
+    full = (1 << d) - 1
+    column = {k: c for c, k in enumerate(k for k in _canonical_ids(d) if k & full)}
+    balance = []
+    for members, D, slots in _balance_sets(d):
+        columns = tuple((j, column[s]) for j, s in enumerate(slots) if s is not None)
+        balance.extend((i, column[D], columns) for i in members)
+    # x_D >= x_{D+m} in y = 1 - x is -y_D + y_{D+m} >= 0
+    one, minus_one, zero = Fraction(1), Fraction(-1), Fraction(0)
+    lazy = tuple(
+        Constraint(((column[lower], minus_one), (column[upper], one)), Relation.GE, zero)
+        for lower, upper in _cover_pairs(d)
+    )
     box = tuple(Constraint(((k, one),), Relation.LE, one) for k in range(len(column)))
-    return _LpFrame(column, len(skeleton.balance), (Fraction(-1),) * len(column), box, lazy)
+    return _LpFrame(tuple(balance), (minus_one,) * len(column), box, lazy)
 
 
-def _y_row(row: SystemRow, column: Mapping[VarIndex, int]) -> Constraint:
-    """``row`` in y = 1 - x over LP columns: its coefficients negate, and its
-    rhs is 0 because ``build_system`` checked that it is active at x = 1."""
-    return Constraint(tuple((column[var], -c) for var, c in row.terms), row.relation, Fraction(0))
-
-
-def _box_program(system: TightnessSystem) -> LinearProgram:
+def _box_program(coefficients: list[list[Rational]], interior: list[Rational]) -> LinearProgram:
     """The LP of ``check_tight_system``: maximise sum(y) over the rows in
     y = 1 - x, with y >= 0 and one row y_k <= 1 per unknown.
 
-    Only the balance rows are built here; the box rows, the lazy
-    monotonicity rows and the objective come from the cached frame."""
-    frame = _lp_frame(system.dimension)
-    balance = tuple(_y_row(row, frame.column) for row in system.rows[: frame.balance_count])
-    return LinearProgram(frame.objective, balance + frame.box, frame.lazy)
+    Only the balance rows are built here, from ``_products``: in y each x
+    coefficient negates, and the anchor's term and the rhs cancel, so each
+    row is homogeneous.  The box rows, the lazy monotonicity rows and the
+    objective come from the cached frame."""
+    frame = _lp_frame(len(coefficients))
+    negated = [([-a for a in row], -c) for row, c in zip(coefficients, interior)]
+    zero = Fraction(0)
+    balance = []
+    for i, column, slots in frame.balance:
+        row, c = negated[i]
+        terms = [(column, c)] if c else []
+        terms.extend((k, row[j]) for j, k in slots if row[j])
+        balance.append(Constraint(tuple(terms), Relation.EQ, zero))
+    return LinearProgram(frame.objective, tuple(balance) + frame.box, frame.lazy)
 
 
-def _unforced_count(system: TightnessSystem) -> int:
+def _unforced_count(coefficients: list[list[Rational]], interior: list[Rational]) -> int:
     """How many unknowns sign forcing leaves free; 0 proves the system tight.
 
-    In y = 1 - x each row reads sum(-c_k y_k) <relation> 0 over y >= 0.  An
-    equality whose live terms share one sign, or a GE row whose live terms
-    are all negative, holds only with every live y_k = 0 (Andersen and
-    Andersen, "Presolving in linear programming", Math. Programming 71,
-    1995).  Forcing an unknown can make another row single-signed, so the
-    rows holding it are checked again, until nothing changes.
+    It reads the rows of ``build_system`` from the signs of ``_products``
+    alone.  In y = 1 - x each row reads sum(-c_k y_k) <relation> 0 over
+    y >= 0.  An equality whose live terms share one sign, or a GE row whose
+    live terms are all negative, holds only with every live y_k = 0
+    (Andersen and Andersen, "Presolving in linear programming", Math.
+    Programming 71, 1995).  Forcing can make another row single-signed, so
+    this repeats until nothing changes; a row that can force still can once
+    more unknowns are forced, so the order does not matter.
+
+    Each family, interior or boundary j, is one integer with bit S set when
+    its unknown of subset S is forced; the constant at S = {} counts as
+    forced.  A monotonicity row x_D >= x_{D+m} forces x_D once x_{D+m} is
+    forced, so each family is closed downward, one shift per index.  The
+    balance rows (D, i) of one i are decided for every D at once, on bit
+    sets over D, where x_D^(j) is the unknown of subset D - {j}.
     """
-    rows = system.rows
-    rows_of: dict[VarIndex, list[int]] = {var: [] for var in system.variables}
-    for r, row in enumerate(rows):
-        for var, _ in row.terms:
-            rows_of[var].append(r)
-    forced: set[VarIndex] = set()
-    pending = list(range(len(rows)))
-    while pending:
-        row = rows[pending.pop()]
-        live = [(var, c.numerator) for var, c in row.terms if var not in forced]
-        if not live:
-            continue
-        # signs of the x coefficients c_k, whose y coefficients are -c_k; the
-        # system has only EQ and GE rows
-        positive = all(c > 0 for _, c in live)
-        if positive or (row.relation is Relation.EQ and all(c < 0 for _, c in live)):
-            for var, _ in live:
-                forced.add(var)
-                pending.extend(rows_of[var])
-    return len(system.variables) - len(forced)
+    d = len(coefficients)
+    n = 1 << d
+    # has[m]: the subsets S that hold m, as bit S
+    has = []
+    for m in range(d):
+        width = 1 << m
+        pattern = ((1 << width) - 1) << width
+        while 2 * width < n:
+            width *= 2
+            pattern |= pattern << width
+        has.append(pattern)
+    # the nonzero terms of row i: (family, whether its x coefficient is positive)
+    terms = []
+    for row, c in zip(coefficients, interior):
+        signs = [(0, c > 0)] if c else []
+        signs.extend((j + 1, a > 0) for j, a in enumerate(row) if a)
+        terms.append(signs)
+    forced = [1] * (d + 1)
+    while True:
+        before = list(forced)
+        # bit D of dead[f]: row D's unknown of family f is forced
+        dead = [forced[0]] + [F | F << (1 << j) for j, F in enumerate(forced[1:])]
+        for i, row in enumerate(terms):
+            positive = negative = 0
+            for f, is_positive in row:
+                if is_positive:
+                    positive |= ~dead[f]
+                else:
+                    negative |= ~dead[f]
+            rows = (positive ^ negative) & has[i]
+            if not rows:
+                continue
+            for f, _ in row:
+                if f:
+                    own = has[f - 1]
+                    forced[f] |= rows & ~own | (rows & own) >> (1 << f - 1)
+                else:
+                    forced[0] |= rows
+        for f, F in enumerate(forced):
+            for m in range(d):
+                F |= (F & has[m]) >> (1 << m)
+            forced[f] = F
+        if forced == before:
+            break
+    return _free_count(d) - sum(F.bit_count() - 1 for F in forced)
+
+
+def _free_count(d: int) -> int:
+    """The unknowns of the d x d system that are not constants: 2^d - 1
+    interior and d (2^(d-1) - 1) boundary ones."""
+    return (1 << d) - 1 + d * ((1 << d - 1) - 1)
 
 
 # --------------------------------------------------------------------------

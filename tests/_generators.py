@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import reflecto.tightness as tightness
-from reflecto import LinearProgram, NetworkSpec, RatMatrix, Relation, reentrant_spec
+from reflecto import Constraint, LinearProgram, NetworkSpec, RatMatrix, Relation, reentrant_spec
 
 
 def random_rational(rng: random.Random, max_num: int = 8, max_den: int = 8) -> Fraction:
@@ -129,11 +129,56 @@ def random_reentrant_line(
     return reentrant_spec(route, means, Fraction(1, 10), discipline)
 
 
+def y_row(row: tightness.SystemRow, column) -> Constraint:
+    """``row`` of a built system in y = 1 - x over LP columns: its
+    coefficients negate, and its rhs is 0 because ``build_system`` checked
+    that it is active at x = 1."""
+    return Constraint(tuple((column[var], -c) for var, c in row.terms), row.relation, Fraction(0))
+
+
+def reference_box_rows(system: tightness.TightnessSystem):
+    """``(balance, monotone, box)`` of the box LP, built from ``system``
+    through its ``VarIndex`` names; columns follow ``system.variables``."""
+    column = {var: k for k, var in enumerate(system.variables)}
+    rows = [y_row(row, column) for row in system.rows]
+    split = sum(1 for row in system.rows if row.relation is Relation.EQ)
+    one = Fraction(1)
+    box = [Constraint(((k, one),), Relation.LE, one) for k in range(len(column))]
+    return tuple(rows[:split]), tuple(rows[split:]), tuple(box)
+
+
 def all_active_box_program(system: tightness.TightnessSystem) -> LinearProgram:
     """The box LP of ``check_tight_system`` with its lazy monotonicity rows
     made active, between the balance rows and the box rows; the pinned
     pivot tests measure the solver on this program."""
-    program = tightness._box_program(system)
-    balance = tuple(row for row in program.constraints if row.relation is Relation.EQ)
-    box = program.constraints[len(balance):]
-    return LinearProgram(program.objective, balance + program.lazy + box)
+    balance, monotone, box = reference_box_rows(system)
+    return LinearProgram((Fraction(-1),) * len(box), balance + monotone + box)
+
+
+def unforced_count_reference(system: tightness.TightnessSystem) -> int:
+    """Sign forcing over the rows of a built system, keyed by ``VarIndex``:
+    the reference for the closure of ``check_tight_system``.
+
+    In y = 1 - x each row reads sum(-c_k y_k) <relation> 0 over y >= 0.  An
+    equality whose live terms share one sign, or a GE row whose live terms
+    are all negative, forces every live y_k = 0; the rows holding a newly
+    forced unknown are checked again, until nothing changes.
+    """
+    rows = system.rows
+    rows_of = {var: [] for var in system.variables}
+    for r, row in enumerate(rows):
+        for var, _ in row.terms:
+            rows_of[var].append(r)
+    forced = set()
+    pending = list(range(len(rows)))
+    while pending:
+        row = rows[pending.pop()]
+        live = [(var, c.numerator) for var, c in row.terms if var not in forced]
+        if not live:
+            continue
+        positive = all(c > 0 for _, c in live)
+        if positive or (row.relation is Relation.EQ and all(c < 0 for _, c in live)):
+            for var, _ in live:
+                forced.add(var)
+                pending.extend(rows_of[var])
+    return len(system.variables) - len(forced)

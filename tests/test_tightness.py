@@ -6,6 +6,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
@@ -26,12 +27,14 @@ from reflecto import (
     Relation,
     ReflectoError,
     VarIndex,
+    as_rational,
     assignment_from_table,
     assignment_to_table,
     build_system,
     canonical_variables,
     check_tight_system,
     decide_tight_matrix,
+    format_rational,
     is_completely_s,
     lp_solve,
     nonnegative_case_witness,
@@ -39,8 +42,15 @@ from reflecto import (
     sample_b_vectors,
     verify_assignment,
 )
+from reflecto.linprog import row_value
 
-from _generators import all_active_box_program, random_m_matrix, random_matrix
+from _generators import (
+    all_active_box_program,
+    random_m_matrix,
+    random_matrix,
+    reference_box_rows,
+    unforced_count_reference,
+)
 
 REFLECTION = RatMatrix([[1, 0, 0], [-3, 1, 0], [3, -2, 1]])
 ONES3 = (Fraction(1), Fraction(1), Fraction(1))
@@ -291,6 +301,83 @@ def test_missing_variable_is_reported_by_key():
     assert "x{2,3}^(1)" in str(info.value)
 
 
+def _fraction_report(system, assignment):
+    """``(failed, is_all_ones)`` of ``verify_assignment``, with every check
+    made in Fractions and each row evaluated by ``row_value``."""
+    Check = tightness.CheckResult
+    value = {var: as_rational(assignment[var]) for var in canonical_variables(system.dimension)}
+    failed = []
+    for var, x in value.items():
+        if var.is_constant and x != 1:
+            failed.append(Check(f"anchor[{var.key()}=1]", f"{var.key()} = {format_rational(x)}"))
+    for row in system.rows:
+        lhs = row_value(row.terms, value)
+        if not row.relation.holds(lhs, row.rhs):
+            failed.append(
+                Check(row.label, f"lhs = {format_rational(lhs)}, rhs = {format_rational(row.rhs)}")
+            )
+    for var in system.variables:
+        if not 0 <= value[var] <= 1:
+            detail = f"{var.key()} = {format_rational(value[var])}"
+            failed.append(Check(f"range[{var.key()}]", detail))
+    return tuple(failed), all(x == 1 for x in value.values())
+
+
+@lru_cache(maxsize=None)
+def _verified_assignments():
+    """(system, assignment) pairs that verify: LP witnesses at d = 1..4, the
+    hand witness and the all-ones assignment of the fixture."""
+    rng = random.Random(64)
+    pairs = []
+    while len(pairs) < 12:
+        d = len(pairs) % 4 + 1
+        R = random_matrix(rng, d, zero_chance=0.4)
+        b = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(d)]
+        verdict = check_tight_system(R, b)
+        if verdict.witness is not None:
+            pairs.append((build_system(R, b), verdict.witness))
+    system = build_system(REFLECTION, ONES3)
+    pairs.append((system, assignment_from_table(WITNESS_TABLE, 3)))
+    pairs.append((system, {v: Fraction(1) for v in canonical_variables(3)}))
+    return tuple(pairs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 13),
+    st.lists(
+        st.tuples(st.integers(0, 2**16), st.fractions(-2, 2, max_denominator=12)), max_size=4
+    ),
+)
+def test_integer_checks_report_what_fraction_checks_report(case, moves):
+    # verify_assignment sums each row in integers over its own terms'
+    # denominators; moved off a verified witness (constants included), its
+    # failed checks, labels and details must be those of the same checks in
+    # Fraction arithmetic through row_value, and so must is_all_ones
+    system, witness = _verified_assignments()[case]
+    assignment = dict(witness)
+    names = canonical_variables(system.dimension)
+    for k, delta in moves:
+        var = names[k % len(names)]
+        assignment[var] = as_rational(assignment[var]) + delta
+    report = verify_assignment(system, assignment)
+    assert (report.failed, report.is_all_ones) == _fraction_report(system, assignment)
+
+
+def test_integer_checks_with_a_distinct_prime_denominator_per_value():
+    # every value over its own prime: no two terms of a row share a
+    # denominator, so each row's running denominator grows at every term
+    system = build_system(REFLECTION, ONES3)
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+    assignment = {
+        var: Fraction(1) if var.is_constant else Fraction(p - 1, p)
+        for var, p in zip(canonical_variables(3), primes)
+    }
+    report = verify_assignment(system, assignment)
+    assert report.failed
+    assert (report.failed, report.is_all_ones) == _fraction_report(system, assignment)
+
+
 # --------------------------------------------------------------------------
 # the LP oracle
 # --------------------------------------------------------------------------
@@ -493,12 +580,20 @@ def test_sign_forcing_certifies_m_matrix_above_the_lp_cap(monkeypatch):
     assert verdict == tightness.TightnessVerdict(True, 1271, Fraction(1271), None)
 
 
+def _box_program(R, b):
+    return tightness._box_program(*tightness._products(R, tightness._check_inputs(R, b)))
+
+
+def _unforced_count(R, b):
+    return tightness._unforced_count(*tightness._products(R, tightness._check_inputs(R, b)))
+
+
 def test_box_programs_of_one_dimension_share_the_cached_frame():
     # only the balance rows depend on (R, b); the box rows, the lazy
     # monotonicity rows and the objective are the same objects at one d
     rng = random.Random(3)
-    first = tightness._box_program(build_system(random_m_matrix(rng, 4), [1] * 4))
-    second = tightness._box_program(build_system(random_matrix(rng, 4), [2, 1, 3, 1]))
+    first = _box_program(random_m_matrix(rng, 4), [1] * 4)
+    second = _box_program(random_matrix(rng, 4), [2, 1, 3, 1])
     assert first.lazy is second.lazy and first.objective is second.objective
     assert len(first.lazy) == 64 and all(row.relation is Relation.GE for row in first.lazy)
     balance, box = first.constraints[:32], first.constraints[32:]
@@ -518,7 +613,7 @@ def test_sign_forced_systems_have_lp_optimum_at_the_variable_count():
         R = random_matrix(rng, d)
         b = [Fraction(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(d)]
         system = build_system(R, b)
-        if tightness._unforced_count(system):
+        if _unforced_count(R, b):
             continue
         closed += 1
         outcome = lp_solve(all_active_box_program(system))
@@ -527,6 +622,84 @@ def test_sign_forced_systems_have_lp_optimum_at_the_variable_count():
             True, len(system.variables), Fraction(len(system.variables)), None
         )
     assert closed >= 30
+
+
+@st.composite
+def _sign_pairs(draw):
+    """(R, b) with d <= 4, any signs: entries are 0 with chance about one
+    half, and in about half the draws with d > 1 one column is all 0, so
+    some boundary unknown is in no row."""
+    d = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=4))
+    rows = [[draw(entry) for _ in range(d)] for _ in range(d)]
+    if d > 1 and draw(st.booleans()):
+        j = draw(st.integers(0, d - 1))
+        for row in rows:
+            row[j] = Fraction(0)
+    b = [draw(st.fractions(Fraction(1, 4), 4, max_denominator=4)) for _ in range(d)]
+    return RatMatrix(rows), b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_sign_pairs())
+def test_integer_closure_agrees_with_the_system_closure(pair):
+    # the closure on bit sets, from the signs of R b alone, must leave as
+    # many unknowns as sign forcing over the built system's rows
+    R, b = pair
+    assert _unforced_count(R, b) == unforced_count_reference(build_system(R, b))
+
+
+def test_integer_closure_counts_unknowns_in_no_row():
+    # with column 2 zero, x{1}^(2) is in no row and stays free; R = 0 at
+    # d = 1 leaves x{1}, and R = 3 forces it
+    for rows, left in (([[1, 0], [-1, 0]], 4), ([[0, 1], [0, 1]], 4), ([[0]], 1), ([[3]], 0)):
+        R = RatMatrix(rows)
+        assert _unforced_count(R, [1] * R.rows) == left
+        assert unforced_count_reference(build_system(R, [1] * R.rows)) == left
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_sign_pairs())
+def test_box_program_is_the_program_of_the_built_system(pair):
+    # the balance rows, built on integer ids, must equal the rows of the
+    # built system in y = 1 - x over its variables, term for term and in
+    # the same order; so must the cached box and monotonicity rows
+    R, b = pair
+    system = build_system(R, b)
+    balance, monotone, box = reference_box_rows(system)
+    program = _box_program(R, b)
+    assert program.constraints == balance + box
+    assert program.lazy == monotone
+    assert program.objective == (Fraction(-1),) * len(system.variables)
+    active = all_active_box_program(system).constraints
+    assert active == balance + program.lazy + program.constraints[len(balance):]
+
+
+def _forbid_building_the_system(monkeypatch, *more):
+    def fail(*args, **kwargs):
+        raise AssertionError("a system, its names or its LP frame was built")
+
+    for name in ("_skeleton", "canonical_variables", "build_system", "_lp_frame", *more):
+        monkeypatch.setattr(tightness, name, fail)
+
+
+def test_identity_at_the_dimension_cap_is_refused_from_signs(monkeypatch):
+    # the 12 x 12 identity forces only its 12 singletons; no system is built
+    _forbid_building_the_system(monkeypatch)
+    with pytest.raises(DimensionCapError, match="leaves 28647 of its 28659 unknowns"):
+        check_tight_system(RatMatrix.identity(12), [1] * 12)
+
+
+def test_m_matrix_at_the_dimension_cap_is_certified_from_signs(monkeypatch):
+    _forbid_building_the_system(monkeypatch)
+    verdict = check_tight_system(random_m_matrix(random.Random(1), 12), [1] * 12)
+    assert verdict == tightness.TightnessVerdict(True, 28659, Fraction(28659), None)
+
+
+def test_above_the_dimension_cap_nothing_is_enumerated(monkeypatch):
+    _forbid_building_the_system(monkeypatch, "_unforced_count", "_canonical_ids", "_balance_sets")
+    with pytest.raises(DimensionCapError, match="subset-enumeration cap"):
+        check_tight_system(RatMatrix.identity(13), [1] * 13)
 
 
 def test_rejects_nonpositive_b():
