@@ -34,7 +34,9 @@ from typing import Optional, Sequence
 
 from .errors import (
     InternalInconsistencyError,
+    MatrixShapeError,
     QSingularError,
+    RationalParseError,
     ReflectoError,
     SingularMatrixError,
     SpecValidationError,
@@ -521,7 +523,17 @@ def _json_ints(field: str, value) -> tuple[int, ...]:
 
 
 def _json_rationals(field: str, value) -> tuple[Rational, ...]:
-    return tuple(parse_rational(str(v)) for v in _json_list(field, value))
+    try:
+        return tuple(parse_rational(str(v)) for v in _json_list(field, value))
+    except RationalParseError as exc:
+        raise SpecValidationError(((field, str(exc)),)) from None
+
+
+def _json_matrix(field: str, value) -> RatMatrix:
+    try:
+        return RatMatrix(_json_rationals(field, row) for row in _json_list(field, value))
+    except MatrixShapeError as exc:
+        raise SpecValidationError(((field, str(exc)),)) from None
 
 
 def spec_from_json_dict(data: dict) -> NetworkSpec:
@@ -538,22 +550,15 @@ def spec_from_json_dict(data: dict) -> NetworkSpec:
         raise SpecValidationError(
             (("document", f"missing fields: {sorted(missing)}"),)
         )
-    try:
-        spec = NetworkSpec(
-            class_count=_json_int("classes", data["classes"]),
-            station_count=_json_int("stations", data["stations"]),
-            station_of_class=_json_ints("station_of_class", data["station_of_class"]),
-            routing=RatMatrix(
-                [_json_rationals("routing", row) for row in _json_list("routing", data["routing"])]
-            ),
-            service_means=_json_rationals("service_means", data["service_means"]),
-            arrival_rates=_json_rationals("arrival_rates", data["arrival_rates"]),
-            priority=_json_ints("priority", data["priority"]),
-        )
-    except SpecValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SpecValidationError((("document", str(exc)),)) from exc
+    spec = NetworkSpec(
+        class_count=_json_int("classes", data["classes"]),
+        station_count=_json_int("stations", data["stations"]),
+        station_of_class=_json_ints("station_of_class", data["station_of_class"]),
+        routing=_json_matrix("routing", data["routing"]),
+        service_means=_json_rationals("service_means", data["service_means"]),
+        arrival_rates=_json_rationals("arrival_rates", data["arrival_rates"]),
+        priority=_json_ints("priority", data["priority"]),
+    )
     require_valid(spec)
     return spec
 

@@ -42,7 +42,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from typing import Mapping, Optional, Sequence
 
@@ -125,9 +125,9 @@ def canonical_variables(d: int) -> tuple[VarIndex, ...]:
     """Every canonical variable, constants included: 2^d + d*2^(d-1) names,
     in ``VarIndex.sort_key`` order, which is the order of ``_canonical_ids``.
 
-    The names for the most recent d are kept, so the systems and witnesses of
-    one dimension share them; at d = 12 they take about 20 MiB, which is why
-    only one dimension is kept.
+    The names for the most recent d are kept, so the systems, witnesses and
+    ``_frame`` of one dimension share them; at d = 12 they take about
+    20 MiB, which is why only one dimension is kept.
     """
     return tuple(
         VarIndex(frozenset(i + 1 for i in range(d) if k >> i & 1), k >> d or None)
@@ -211,47 +211,80 @@ def _check_inputs(reflection: RatMatrix, b: Sequence[RationalLike]) -> tuple[Rat
 
 
 @dataclass(frozen=True)
-class _Skeleton:
-    """The part of every d x d system that does not depend on R or b.
+class _Frame:
+    """The part of every d x d system, and of its box LP, that does not
+    depend on R or b.
 
-    ``balance`` has one ``(label, i, x_D, slots)`` per balance row, in row
-    order: i is 0-based, and ``slots`` lists ``(j, x_D^(j))`` for j = 0..d-1,
-    with ``None`` for the anchor x_{}^(j) of a singleton D = {j}.  The
-    interior x_D sorts before every boundary unknown, and these by j, so a
-    row's terms come out in canonical order.  ``monotone`` holds the finished
-    monotonicity rows.
+    ``variables`` names the free unknowns by LP column, in canonical order,
+    and ``column`` maps each one's id to its column.  ``balance`` has one
+    ``(i, x_D, slots)`` per balance row, in row order: i is 0-based, x_D is
+    a column, and ``slots`` lists ``(j, x_D^(j+1))`` for j = 0..d-1, with
+    ``None`` for the anchor of a singleton D = {j+1}.  The interior x_D
+    sorts before every boundary unknown, and these by j, so a row's terms
+    come out in canonical order.  Each consumer's fixed rows are built on
+    first use, so a frame that serves only ``build_system`` holds no LP
+    row, and one that serves only ``_box_program`` no label or
+    ``SystemRow``.
     """
 
+    dimension: int
     variables: tuple[VarIndex, ...]
-    balance: tuple[tuple[str, int, VarIndex, tuple[tuple[int, Optional[VarIndex]], ...]], ...]
-    monotone: tuple[SystemRow, ...]
+    column: Mapping[int, int]
+    balance: tuple[tuple[int, int, tuple[tuple[int, Optional[int]], ...]], ...]
+
+    def covers(self):
+        """The ``(lower, upper)`` columns of each monotonicity row, in row
+        order; walked, not kept: as pairs they take about 9 MiB at d = 12."""
+        column = self.column
+        return ((column[lower], column[upper]) for lower, upper in _cover_pairs(self.dimension))
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        # the key of x_D is "x{...}", so its tail is D's name
+        names = self.variables
+        return tuple(f"balance[D={names[D].key()[1:]},i={i + 1}]" for i, D, _ in self.balance)
+
+    @cached_property
+    def monotone(self) -> tuple[SystemRow, ...]:
+        one, minus_one, zero = Fraction(1), Fraction(-1), Fraction(0)
+        names = self.variables
+        pairs = ((names[lower], names[upper]) for lower, upper in self.covers())
+        return tuple(
+            SystemRow(f"mono[{lo.key()}>={up.key()}]", ((lo, one), (up, minus_one)), Relation.GE, zero)
+            for lo, up in pairs
+        )
+
+    @cached_property
+    def objective(self) -> tuple[Rational, ...]:
+        return (Fraction(-1),) * len(self.variables)
+
+    @cached_property
+    def box(self) -> tuple[Constraint, ...]:
+        one = Fraction(1)
+        return tuple(Constraint(((k, one),), Relation.LE, one) for k in range(len(self.variables)))
+
+    @cached_property
+    def lazy(self) -> tuple[Constraint, ...]:
+        # x_D >= x_{D+m} in y = 1 - x is -y_D + y_{D+m} >= 0
+        one, minus_one, zero = Fraction(1), Fraction(-1), Fraction(0)
+        return tuple(
+            Constraint(((lo, minus_one), (up, one)), Relation.GE, zero) for lo, up in self.covers()
+        )
 
 
 @lru_cache(maxsize=1)
-def _skeleton(d: int) -> _Skeleton:
-    """Rows and variables of the d x d system; one dimension is kept, as in
-    ``canonical_variables``."""
-    var = dict(zip(_canonical_ids(d), canonical_variables(d)))
+def _frame(d: int) -> _Frame:
+    """The frame of dimension d; one dimension is kept, as in
+    ``canonical_variables``, whose order gives the free unknowns their LP
+    columns, so the LP's point lines up with the system's variables."""
+    full = (1 << d) - 1
+    variables = tuple(v for v in canonical_variables(d) if not v.is_constant)
+    column = {k: c for c, k in enumerate(k for k in _canonical_ids(d) if k & full)}
     balance = []
     for members, D, slots in _balance_sets(d):
-        name = "{" + ",".join(str(i + 1) for i in members) + "}"
-        pairs = tuple((j, None if s is None else var[s]) for j, s in enumerate(slots))
-        balance.extend((f"balance[D={name},i={i + 1}]", i, var[D], pairs) for i in members)
-
-    one, minus_one, zero = Fraction(1), Fraction(-1), Fraction(0)
-    monotone = []
-    for lower, upper in _cover_pairs(d):
-        lower, upper = var[lower], var[upper]
-        monotone.append(
-            SystemRow(
-                f"mono[{lower.key()}>={upper.key()}]",
-                ((lower, one), (upper, minus_one)),
-                Relation.GE,
-                zero,
-            )
-        )
-    variables = tuple(v for v in canonical_variables(d) if not v.is_constant)
-    return _Skeleton(variables, tuple(balance), tuple(monotone))
+        pairs = tuple((j, None if s is None else column[s]) for j, s in enumerate(slots))
+        balance.extend((i, column[D], pairs) for i in members)
+    return _Frame(d, variables, column, tuple(balance))
 
 
 def build_system(reflection: RatMatrix, b: Sequence[RationalLike]) -> TightnessSystem:
@@ -260,7 +293,7 @@ def build_system(reflection: RatMatrix, b: Sequence[RationalLike]) -> TightnessS
     Row (D, i) of the balance family has the term R_ij b_j on x_D^(j) for
     every j, or on the rhs for the anchor, and minus their sum on x_D; the
     d^2 products and d sums are formed once per call, and everything else
-    comes from the cached skeleton of the dimension.  Every row is active at
+    comes from the cached frame of the dimension.  Every row is active at
     the all-ones assignment by construction (after y = 1 - x it is
     homogeneous): each row's coefficient sum is checked to equal its rhs
     before returning.  Raises DimensionCapError above DEFAULT_DIMENSION_CAP
@@ -268,35 +301,37 @@ def build_system(reflection: RatMatrix, b: Sequence[RationalLike]) -> TightnessS
     """
     scale = _check_inputs(reflection, b)
     d = reflection.rows
-    skeleton = _skeleton(d)
+    frame = _frame(d)
+    variables = frame.variables
     coefficients, interior = _products(reflection, scale)
 
     rows: list[SystemRow] = []
     zero = Fraction(0)
-    for label, i, plain, slots in skeleton.balance:
+    for label, (i, plain, slots) in zip(frame.labels, frame.balance):
         row = coefficients[i]
-        terms = [(plain, interior[i])] if interior[i] else []
+        terms = [(variables[plain], interior[i])] if interior[i] else []
         rhs = zero
-        for j, var in slots:
+        for j, k in slots:
             c = row[j]
             if not c:
                 continue
-            if var is None:
+            if k is None:
                 rhs = -c
             else:
-                terms.append((var, c))
+                terms.append((variables[k], c))
         rows.append(SystemRow(label, tuple(terms), Relation.EQ, rhs))
-    rows.extend(skeleton.monotone)
+    rows.extend(frame.monotone)
 
     for row in rows:
-        if _slack_at_ones(row):
+        num, den = _row_sum(row.terms)  # the lhs at x = 1
+        if num * row.rhs.denominator != row.rhs.numerator * den:
             raise InternalInconsistencyError(
                 f"every row must be active at the all-ones assignment; {row.label} is not"
             )
     return TightnessSystem(
         dimension=d,
         b=scale,
-        variables=skeleton.variables,
+        variables=variables,
         rows=tuple(rows),
     )
 
@@ -332,13 +367,6 @@ def _row_sum(
         else:
             num, den = num * d + n * den, den * d
     return num, den
-
-
-def _slack_at_ones(row: SystemRow) -> Rational:
-    """rhs minus the row's lhs at x = 1, that is minus its coefficient sum."""
-    num, den = _row_sum(row.terms)
-    rhs = row.rhs
-    return Fraction(rhs.numerator * den - num * rhs.denominator, rhs.denominator * den)
 
 
 # --------------------------------------------------------------------------
@@ -465,11 +493,11 @@ def check_tight_system(
     From d = 5 on, an LP that runs grows about 10x per dimension, hence
     ``LP_DIMENSION_CAP``.  Each balance row becomes one sparse LP row over
     the columns of its own unknowns.  The bounds y_k <= 1, the monotonicity
-    rows and the objective depend only on d: ``_lp_frame`` builds them once
-    per dimension, and only once an LP is due, so a system that closes or
-    is refused allocates none.  The system itself is built only for a
-    witness, which is re-verified exactly on it, with every anchor, row and
-    range check.
+    rows and the objective depend only on d: the cached ``_frame`` of the
+    dimension builds them once, and only once an LP is due, so a system
+    that closes or is refused allocates none.  The system itself is built
+    only for a witness, which is re-verified exactly on it, with every
+    anchor, row and range check.
     """
     scale = _check_inputs(reflection, b)
     d = reflection.rows
@@ -503,44 +531,6 @@ def check_tight_system(
     return TightnessVerdict(False, nfree, optimum, witness)
 
 
-@dataclass(frozen=True)
-class _LpFrame:
-    """The part of every d x d box LP that does not depend on R or b.
-
-    ``balance`` has one ``(i, column of x_D, ((j, column of x_D^(j+1)),
-    ...))`` per balance row, in row order, with the anchor left out.
-    ``lazy`` has the monotonicity rows in y-columns, in row order; ``box``
-    has the rows y_k <= 1, and ``objective`` minimises -sum(y).
-    """
-
-    balance: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
-    objective: tuple[Rational, ...]
-    box: tuple[Constraint, ...]
-    lazy: tuple[Constraint, ...]
-
-
-@lru_cache(maxsize=1)
-def _lp_frame(d: int) -> _LpFrame:
-    """The LP frame of dimension d; one dimension is kept, as in ``_skeleton``.
-
-    The free unknowns take their columns in ``canonical_variables`` order,
-    so the LP's point lines up with the system's variables."""
-    full = (1 << d) - 1
-    column = {k: c for c, k in enumerate(k for k in _canonical_ids(d) if k & full)}
-    balance = []
-    for members, D, slots in _balance_sets(d):
-        columns = tuple((j, column[s]) for j, s in enumerate(slots) if s is not None)
-        balance.extend((i, column[D], columns) for i in members)
-    # x_D >= x_{D+m} in y = 1 - x is -y_D + y_{D+m} >= 0
-    one, minus_one, zero = Fraction(1), Fraction(-1), Fraction(0)
-    lazy = tuple(
-        Constraint(((column[lower], minus_one), (column[upper], one)), Relation.GE, zero)
-        for lower, upper in _cover_pairs(d)
-    )
-    box = tuple(Constraint(((k, one),), Relation.LE, one) for k in range(len(column)))
-    return _LpFrame(tuple(balance), (minus_one,) * len(column), box, lazy)
-
-
 def _box_program(coefficients: list[list[Rational]], interior: list[Rational]) -> LinearProgram:
     """The LP of ``check_tight_system``: maximise sum(y) over the rows in
     y = 1 - x, with y >= 0 and one row y_k <= 1 per unknown.
@@ -549,14 +539,14 @@ def _box_program(coefficients: list[list[Rational]], interior: list[Rational]) -
     coefficient negates, and the anchor's term and the rhs cancel, so each
     row is homogeneous.  The box rows, the lazy monotonicity rows and the
     objective come from the cached frame."""
-    frame = _lp_frame(len(coefficients))
+    frame = _frame(len(coefficients))
     negated = [([-a for a in row], -c) for row, c in zip(coefficients, interior)]
     zero = Fraction(0)
     balance = []
     for i, column, slots in frame.balance:
         row, c = negated[i]
         terms = [(column, c)] if c else []
-        terms.extend((k, row[j]) for j, k in slots if row[j])
+        terms.extend((k, row[j]) for j, k in slots if k is not None and row[j])
         balance.append(Constraint(tuple(terms), Relation.EQ, zero))
     return LinearProgram(frame.objective, tuple(balance) + frame.box, frame.lazy)
 

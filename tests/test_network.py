@@ -702,21 +702,24 @@ def test_spec_json_rejects_unknown_and_missing_fields(fbfs_spec):
 
 
 def test_spec_json_rejects_float_entries(fbfs_spec):
-    document = spec_to_json_dict(fbfs_spec)
-    document["service_means"] = ["2.0"] + document["service_means"][1:]
-    with pytest.raises(SpecValidationError):
-        spec_from_json_dict(document)
-
-    # Integer fields must be JSON integers and rows must be lists; read with
-    # int() or iterated as strings, each document would parse to the fixture.
+    # Each fault is reported under the field that holds it.  Integer fields
+    # must be JSON integers and rows must be lists; read with int() or
+    # iterated as strings, each document would parse to the fixture.
     base = spec_to_json_dict(fbfs_spec)
+    routing = base["routing"]
     for field, value in (
+        ("service_means", ["2.0"] + base["service_means"][1:]),
+        ("arrival_rates", base["arrival_rates"][:-1] + [0.5]),
+        ("routing", [["0.5"] + routing[0][1:]] + routing[1:]),
+        ("routing", [routing[0][1:]] + routing[1:]),
+        ("routing", [["0"], ["0", "0"]]),
         ("station_of_class", [1.9] + base["station_of_class"][1:]),
         ("classes", 7.7),
         ("priority", [1, 2.5] + base["priority"][2:]),
         ("priority", [True] + base["priority"][1:]),
         ("stations", "3"),
-        ("routing", ["".join(row) for row in base["routing"]]),
+        ("routing", ["".join(row) for row in routing]),
     ):
-        with pytest.raises(SpecValidationError):
+        with pytest.raises(SpecValidationError) as info:
             spec_from_json_dict(dict(base, **{field: value}))
+        assert [name for name, _ in info.value.issues] == [field], (field, value)

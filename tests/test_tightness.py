@@ -210,53 +210,88 @@ def _system_text(system) -> str:
 def test_build_system_is_pinned():
     # Labels, variables, term order, coefficients, relations and rhs of nine
     # systems.  The dimensions are interleaved, so the cached one-dimension
-    # skeleton is both rebuilt and re-entered; the last matrix has two rows
+    # frame is both rebuilt and re-entered; the last matrix has two rows
     # whose total R_ij b_j is zero, so their balance rows carry no x_D term.
+    # In the second pass an LP at the same d runs before each system is
+    # built (R = 0 closes nothing), so the LP side builds each frame first.
     rng = random.Random(61)
-    texts = []
+    pairs = []
     for d in (3, 4, 3, 5, 2, 4, 1, 5):
         entries = [
             [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
             for _ in range(d)
         ]
         b = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(d)]
-        texts.append(_system_text(build_system(RatMatrix(entries), b)))
-    R = RatMatrix([[2, -1, 0], [1, 1, -3], [0, -1, 4]])
-    texts.append(_system_text(build_system(R, [1, 2, 1])))
-    text = "\n".join(texts)
-    assert text.count("\n") + 1 == 888
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "fb6ad871c9f37af262ad5a6eedabfe92f317ba80be01b6c0c586346af7fad34b"
+        pairs.append((RatMatrix(entries), b))
+    pairs.append((RatMatrix([[2, -1, 0], [1, 1, -3], [0, -1, 4]]), [1, 2, 1]))
+    for lp_first in (False, True):
+        texts = []
+        for R, b in pairs:
+            if lp_first:
+                tightness._frame.cache_clear()
+                d = R.rows
+                assert not check_tight_system(RatMatrix.zeros(d, d), [1] * d).tight
+            texts.append(_system_text(build_system(R, b)))
+        text = "\n".join(texts)
+        assert text.count("\n") + 1 == 888
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "fb6ad871c9f37af262ad5a6eedabfe92f317ba80be01b6c0c586346af7fad34b"
 
 
 @pytest.mark.parametrize("family", ["balance", "monotone", "inactive"])
 def test_all_ones_check_reads_every_row(monkeypatch, family):
-    # A skeleton with one row that is not active at x = 1: a balance row that
+    # A frame with one row that is not active at x = 1: a balance row that
     # lost its anchor slot (rhs 0, coefficient sum -R_11 b_1), a monotonicity
     # row with rhs 1 (coefficient sum 0), which x = 1 violates, or one with
     # rhs -1, which x = 1 satisfies with slack.
-    real = tightness._skeleton(3)
+    real = tightness._frame(3)
     if family == "balance":
-        label, i, plain, slots = real.balance[0]
+        i, plain, slots = real.balance[0]
         assert slots[i][1] is None  # D = {1}: the anchor x{}^(1)
-        bad = (label, i, plain, slots[:i] + slots[i + 1:])
-        skeleton = replace(real, balance=(bad,) + real.balance[1:])
+        frame = replace(real, balance=((i, plain, slots[:i] + slots[i + 1:]),) + real.balance[1:])
+        label = real.labels[0]
     else:
         bad = replace(real.monotone[0], rhs=Fraction(1 if family == "monotone" else -1))
-        skeleton = replace(real, monotone=(bad,) + real.monotone[1:])
+        frame = replace(real)
+        vars(frame)["monotone"] = (bad,) + real.monotone[1:]  # where cached_property keeps it
         label = bad.label
-    monkeypatch.setattr(tightness, "_skeleton", lambda d: skeleton)
+    monkeypatch.setattr(tightness, "_frame", lambda d: frame)
     with pytest.raises(InternalInconsistencyError, match=re.escape(label)):
         build_system(REFLECTION, ONES3)
 
 
 def test_build_system_refuses_above_cap_before_the_skeleton(monkeypatch):
     def fail(d):
-        raise AssertionError(f"the d = {d} skeleton was built")
+        raise AssertionError(f"the d = {d} frame was built")
 
-    monkeypatch.setattr(tightness, "_skeleton", fail)
+    monkeypatch.setattr(tightness, "_frame", fail)
     with pytest.raises(DimensionCapError):
         build_system(RatMatrix.identity(13), [1] * 13)
+
+
+def test_each_consumer_builds_only_its_own_rows(monkeypatch):
+    # a frame built for the LP holds no SystemRow, and one built for a
+    # system no LP Constraint
+    def fail(*args, **kwargs):
+        raise AssertionError("a row of the other consumer was built")
+
+    pnm4 = RatMatrix(
+        [
+            ["124/35", "2/5", "1", "-2"],
+            ["1", "91/24", "-1/8", "2"],
+            ["-1", "1/7", "149/14", "-7"],
+            ["-1", "-3/2", "-8/5", "347/70"],
+        ]
+    )
+    tightness._frame.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(tightness, "SystemRow", fail)
+        assert _unforced_count(pnm4, [1] * 4)  # the LP runs
+        assert check_tight_system(pnm4, [1] * 4).tight
+    tightness._frame.cache_clear()
+    monkeypatch.setattr(tightness, "Constraint", fail)
+    system = build_system(RatMatrix.identity(8), [1] * 8)
+    assert len(system.variables) == 1271
 
 
 # --------------------------------------------------------------------------
@@ -574,7 +609,7 @@ def test_sign_forcing_certifies_m_matrix_above_the_lp_cap(monkeypatch):
         raise AssertionError("an LP or its frame was built on a system closed by sign forcing")
 
     monkeypatch.setattr(tightness, "lp_solve", fail)
-    monkeypatch.setattr(tightness, "_lp_frame", fail)
+    monkeypatch.setattr(tightness, "_frame", fail)
     d = LP_DIMENSION_CAP + 1
     verdict = check_tight_system(random_m_matrix(random.Random(1), d), [1] * d)
     assert verdict == tightness.TightnessVerdict(True, 1271, Fraction(1271), None)
@@ -679,7 +714,7 @@ def _forbid_building_the_system(monkeypatch, *more):
     def fail(*args, **kwargs):
         raise AssertionError("a system, its names or its LP frame was built")
 
-    for name in ("_skeleton", "canonical_variables", "build_system", "_lp_frame", *more):
+    for name in ("_frame", "canonical_variables", "build_system", *more):
         monkeypatch.setattr(tightness, name, fail)
 
 
