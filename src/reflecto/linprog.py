@@ -1,4 +1,13 @@
-"""Exact linear programming with a two-phase primal simplex over the rationals.
+"""Exact linear programming with a primal and a dual simplex over the rationals.
+
+A solve starts from the slack basis: every inequality gets a slack with
+coefficient 1, a GE row negated, and that slack is basic whatever the sign
+of the row's rhs.  Each equality is then pivoted in on its least column with
+a nonzero entry; one that reads 0 = rhs by then is redundant when rhs = 0
+and makes the program infeasible otherwise.  A basis whose reduced costs all
+read 0 is dual feasible, so the dual simplex below, unpriced, restores
+x >= 0 or proves the program infeasible, with no artificial column.  The
+primal simplex then optimises from that feasible basis.
 
 The tableau is kept as sparse rows of integers, each row over its own positive
 denominator.  A pivot rewrites only the stored rows with a nonzero entry in the
@@ -62,7 +71,9 @@ positive.  The columns of P are independent (B^-1 times the reference
 basis's columns is nonsingular), so no tie survives every k, the least-ratio
 pivot keeps each nonbasic vector lexicographically positive, and the
 perturbed objective strictly rises.  So no basis repeats until the objective
-moves, and the objective never falls.
+moves, and the objective never falls.  Unpriced, every d_j reads 0: every
+entry a_rj < 0 ties, the lexicographic rule alone picks the column, and the
+reference is never retaken, so no basis of that phase repeats.
 
 Programs are in standard form: every variable is nonnegative, and any other
 bound, such as x_k <= 1, is an ordinary constraint row.  A row stores only its
@@ -94,7 +105,7 @@ from itertools import chain
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InternalInconsistencyError, MatrixShapeError
+from .errors import InternalInconsistencyError, MatrixShapeError, ReflectoError
 from .rational import Rational, RationalLike, as_rational
 
 _MAX_PIVOTS = 1_000_000
@@ -187,8 +198,19 @@ class LpOutcome:
 def constraint(
     coeffs: Iterable[RationalLike], relation: Relation | str, rhs: RationalLike
 ) -> Constraint:
-    """The row with dense coefficients ``coeffs``; its zeros are dropped."""
-    rel = relation if isinstance(relation, Relation) else Relation(relation)
+    """The row with dense coefficients ``coeffs``; its zeros are dropped.
+
+    ``relation`` is a ``Relation`` or its value, ``"<="``, ``"="`` or ``">="``.
+    """
+    if isinstance(relation, Relation):
+        rel = relation
+    else:
+        try:
+            rel = Relation(relation)
+        except ValueError:
+            raise ReflectoError(
+                f"relation must be '<=', '=' or '>=', got {relation!r}"
+            ) from None
     dense = (as_rational(c) for c in coeffs)
     return Constraint(tuple((j, a) for j, a in enumerate(dense) if a), rel, as_rational(rhs))
 
@@ -207,8 +229,14 @@ class _Tableau:
     """Simplex tableau of sparse integer rows, each over its own denominator.
 
     Built from every ``Constraint`` row, with its zero terms dropped here,
-    and the nonzero cost terms by column.  An all-zero row keeps only its
-    slack or its artificial, so phase one decides ``0 <relation> rhs``.
+    and the nonzero cost terms by column.  Every inequality gets a slack
+    with coefficient 1, a GE row negated, and starts with that slack basic,
+    whatever the sign of its rhs.  An equality row is stored as it is and
+    has no basic variable until ``pivot_in_equalities`` gives it one; until
+    then, and for good when the row is redundant, its basic is the
+    placeholder ``~i`` (negative, so it names no column).  An all-zero row
+    keeps only its slack, or nothing for an equality, so the feasibility
+    phases decide ``0 <relation> rhs``.
 
     Row i stores the nonzero entries of the rational tableau row times
     ``den[i] > 0`` as ``{column: int}``.  A pivot rewrites only the rows with
@@ -216,90 +244,63 @@ class _Tableau:
 
     A row that starts with its own slack basic is unstored: ``T[i]`` is an
     empty placeholder, so a pivot passes it by, and ``unstored[i]`` keeps its
-    original integer terms and rhs (its slack has coefficient 1).  ``where``
-    maps each basic variable to its row.  An unstored row's basic variable is
-    always its own slack, so every other basic unknown it names sits in a
-    stored row; ``_derived_row`` substitutes them.
+    integer terms and rhs (its slack has coefficient 1).  ``where`` maps each
+    basic variable to its row.  An unstored row's basic variable is always
+    its own slack, so every other basic unknown it names sits in a stored
+    row; ``_derived_row`` substitutes them.
     """
 
     def __init__(self, nz: int, rows: Sequence[Constraint], cost: dict[int, Fraction]):
         self.nz = nz
-        m = len(rows)
-
-        # Slack columns: +1 on an LE row, -1 on a GE row.
-        slack_col: list[Optional[int]] = [None] * m
-        ncols = nz
-        for i, row in enumerate(rows):
-            if row.relation is not Relation.EQ:
-                slack_col[i] = ncols
-                ncols += 1
-        self.art_start = ncols
-
         # Each constraint row in integers without its zero terms, kept as is
-        # for the point check, then negated when its rhs is negative, or
-        # when it is a homogeneous GE row: its slack then has coefficient 1
-        # and starts in the basis instead of an artificial.
+        # for the point check.
         self.rows: list[_IntRow] = [con._int_row for con in rows]
-        int_rows: list[tuple[dict[int, int], int]] = []
-        for (terms, relation, r), sc in zip(self.rows, slack_col):
-            row = dict(terms)
-            if sc is not None:
-                row[sc] = -1 if relation is Relation.GE else 1
-            if r < 0 or (r == 0 and relation is Relation.GE):
-                row = {col: -v for col, v in row.items()}
-                r = -r
-            int_rows.append((row, r))
-
-        # Artificial columns where the slack cannot serve as the basic variable;
-        # a row whose slack can is kept as its original terms, not stored.
-        basis: list[int] = []
-        art_rows: list[int] = []
-        self.unstored: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
-        for i, (row, r) in enumerate(int_rows):
-            sc = slack_col[i]
-            if sc is not None and row[sc] == 1:
-                basis.append(sc)
-                self.unstored[i] = (tuple((j, v) for j, v in row.items() if j != sc), r)
-            else:
-                art_rows.append(i)
-                basis.append(ncols)
-                row[ncols] = 1
-                ncols += 1
-
-        self.m = m
-        self.rhs_col = ncols
-        self.next_col = ncols + 1  # the next appended row's slack
-        self.basis = basis
-        self.where = {var: i for i, var in enumerate(basis)}
+        self.rhs_col = nz + sum(relation is not Relation.EQ for _, relation, _ in self.rows)
         self.T: list[dict[int, int]] = []
-        for i, (row, r) in enumerate(int_rows):
-            if i in self.unstored:
-                row = {}
-            elif r:
-                row[ncols] = r
-            self.T.append(row)
+        self.den: list[int] = []
+        self.m = self.cost_row = 0
+        self.basis: list[int] = []
+        self.where: dict[int, int] = {}
+        self.unstored: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
+        self.pivots = 0
+
+        # Slack columns follow the unknowns in row order; a lazy row's slack
+        # comes after the rhs column.
+        self.next_col = nz
+        for row in self.rows:
+            terms, relation, r = row
+            if relation is Relation.EQ:
+                stored = dict(terms)
+                if r:
+                    stored[self.rhs_col] = r
+                self._insert(stored, ~self.m)
+            else:
+                self.append(row)
+        self.next_col = self.rhs_col + 1
 
         # Objective scaled to integers; scale is reported back to the caller.
         cost_denoms = [v.denominator for v in cost.values()]
         self.obj_scale = lcm(*cost_denoms) if cost_denoms else 1
         self.cost = tuple((col, int(v * self.obj_scale)) for col, v in cost.items())
         self.T.append(dict(self.cost))
-        self.cost_row = m
+        self.den.append(1)
 
-        self.phase1_row: Optional[int] = None
-        if art_rows:
-            w: dict[int, int] = {}
-            for i in art_rows:
-                for j, v in self.T[i].items():
-                    if j != basis[i]:
-                        w[j] = w.get(j, 0) - v
-            self.T.append({j: v for j, v in w.items() if v})
-            self.phase1_row = m + 1
-        self.den = [1] * len(self.T)
+    def _insert(self, row: dict[int, int], var: int) -> None:
+        """Add ``row`` as row m, before the cost row once there is one, with
+        ``var`` basic in it."""
+        i = self.m
+        self.T.insert(i, row)
+        self.den.insert(i, 1)
+        self.basis.append(var)
+        self.where[var] = i
+        self.m = self.cost_row = i + 1
 
     # -- pivoting ----------------------------------------------------------
 
     def _pivot(self, r: int, c: int) -> None:
+        self.pivots += 1
+        if self.pivots > _MAX_PIVOTS:
+            raise InternalInconsistencyError("pivot limit exceeded")
         T = self.T
         den = self.den
         pivot_row = T[r]
@@ -375,11 +376,7 @@ class _Tableau:
         return self.T[i].get(c, 0)
 
     def _entering(self, cost_row: dict[int, int]) -> Optional[int]:
-        candidates = [
-            (v, j)
-            for j, v in cost_row.items()
-            if v < 0 and (j < self.art_start or j > self.rhs_col)
-        ]
+        candidates = [(v, j) for j, v in cost_row.items() if v < 0 and j != self.rhs_col]
         return min(candidates)[1] if candidates else None
 
     def _leaving(self, c: int, reference: list[int]) -> Optional[int]:
@@ -441,22 +438,21 @@ class _Tableau:
                 return next(iter(tied))
         raise InternalInconsistencyError("lexicographic ratio test left a tie")
 
-    def run_phase(self, cost_index: int, stop_at_zero: bool) -> bool:
-        """Pivot until optimal; False when a column can improve without limit.
+    def run_phase(self) -> bool:
+        """Primal simplex from a feasible basis: pivot until optimal; False
+        when a column can improve without limit.
 
         The basic variables, from the highest column index down, are the
-        reference basis of the lexicographic ratio test.  They are taken when
-        the phase starts and again after every pivot that moves the
-        objective.  Under Dantzig pricing the entering column's reduced cost
-        is negative, so a pivot moves the objective exactly when its row's
-        rhs is positive.
+        reference basis of the lexicographic ratio test; a redundant row's
+        placeholder comes last and decides nothing.  They are taken when the
+        phase starts and again after every pivot that moves the objective.
+        Under Dantzig pricing the entering column's reduced cost is negative,
+        so a pivot moves the objective exactly when its row's rhs is
+        positive.
         """
         reference = sorted(self.basis, reverse=True)
-        pivots = 0
         while True:
-            if stop_at_zero and self.T[cost_index].get(self.rhs_col, 0) == 0:
-                return True
-            col = self._entering(self.T[cost_index])
+            col = self._entering(self.T[self.cost_row])
             if col is None:
                 return True
             row = self._leaving(col, reference)
@@ -469,9 +465,6 @@ class _Tableau:
             self._pivot(row, col)
             if moves:
                 reference = sorted(self.basis, reverse=True)
-            pivots += 1
-            if pivots > _MAX_PIVOTS:
-                raise InternalInconsistencyError("pivot limit exceeded")
 
     def append(self, row: _IntRow) -> None:
         """Add ``row``, from ``_scaled``, before the cost row as an unstored
@@ -480,21 +473,24 @@ class _Tableau:
         terms, relation, r = row
         signs = {Relation.LE: (1,), Relation.GE: (-1,), Relation.EQ: (1, -1)}[relation]
         for sign in signs:
-            i, s = self.m, self.next_col
-            self.T.insert(i, {})
-            self.den.insert(i, 1)
-            self.basis.append(s)
-            self.where[s] = i
-            self.unstored[i] = (terms if sign == 1 else tuple((j, -v) for j, v in terms), sign * r)
-            self.m, self.cost_row, self.next_col = i + 1, i + 1, s + 1
+            self.unstored[self.m] = (
+                terms if sign == 1 else tuple((j, -v) for j, v in terms),
+                sign * r,
+            )
+            self._insert({}, self.next_col)
+            self.next_col += 1
 
-    def run_dual_phase(self) -> bool:
+    def run_dual_phase(self, priced: bool = True) -> bool:
         """Dual simplex from dual-feasible rows (module docstring); False
-        when a row proves the program infeasible.  It runs after phase two,
-        so no row has an artificial column."""
+        when a row proves the program infeasible.
+
+        Unpriced, it reads every reduced cost as 0, so any basis is dual
+        feasible: it then only restores x >= 0, and every ratio test is
+        decided by the lexicographic rule on one reference, which makes
+        every basis of the phase distinct.
+        """
         rc = self.rhs_col
         reference = self._nonbasic()
-        pivots = 0
         while True:
             r = self._dual_leaving()
             if r is None:
@@ -502,7 +498,7 @@ class _Tableau:
             if r in self.unstored:
                 self.T[r], self.den[r] = self._derived_row(r)
                 del self.unstored[r]
-            cost = self.T[self.cost_row]
+            cost = self.T[self.cost_row] if priced else {}
             best, best_num, best_den, ties = None, 0, 1, None
             for j, a in self.T[r].items():
                 if a >= 0 or j == rc:
@@ -519,13 +515,10 @@ class _Tableau:
             self._pivot(r, col)
             if best_num:
                 reference = self._nonbasic()
-            pivots += 1
-            if pivots > _MAX_PIVOTS:
-                raise InternalInconsistencyError("pivot limit exceeded")
 
     def _nonbasic(self) -> list[int]:
-        columns = chain(range(self.art_start), range(self.rhs_col + 1, self.next_col))
-        return [j for j in columns if j not in self.where]
+        rc, where = self.rhs_col, self.where
+        return [j for j in range(self.next_col) if j != rc and j not in where]
 
     def _dual_leaving(self) -> Optional[int]:
         """The row with the most negative basic value, least index on ties."""
@@ -562,39 +555,25 @@ class _Tableau:
                 return next(iter(tied))
         raise InternalInconsistencyError("lexicographic dual ratio test left a tie")
 
-    def drop_artificials(self) -> None:
-        """Delete the phase-one row and the artificial columns, then pivot
-        the artificials still basic out of the basis.
+    def pivot_in_equalities(self) -> bool:
+        """Pivot each equality row, in row order, on its least column with
+        a nonzero entry; False when a row reads 0 = rhs with rhs != 0.
 
-        Deleting first keeps every pivot, since no choice below reads an
-        artificial column, and spares each pivot-out rewriting the
-        artificial block, which fills in as they run.  A row whose
-        artificial cannot be pivoted out is identically zero on the real
-        columns (a redundant constraint).  It stays where it is, empty, with
-        its artificial basic at 0: every pivot and ratio test passes an empty
-        row by.
+        A row left at 0 = 0 is redundant.  It stays where it is, empty, with
+        its placeholder basic: every pivot and ratio test passes an empty row
+        by, and ``int_point`` reads only basic unknowns.
         """
-        self._delete_artificial_columns()
-        for r in range(self.m):
-            if self.basis[r] < self.art_start:
+        for r, var in enumerate(self.basis):
+            if var >= 0:
                 continue
             row = self.T[r]
-            col = min((j for j in row if j < self.art_start), default=None)
+            col = min((j for j in row if j != self.rhs_col), default=None)
             if col is None:
-                if self.rhs_col in row:
-                    raise InternalInconsistencyError(
-                        "redundant row with nonzero residual after phase one"
-                    )
+                if row:
+                    return False
             else:
                 self._pivot(r, col)
-
-    def _delete_artificial_columns(self) -> None:
-        del self.den[-1]
-        self.T = [
-            {j: v for j, v in row.items() if j < self.art_start or j == self.rhs_col}
-            for row in self.T[:-1]
-        ]
-        self.phase1_row = None
+        return True
 
     # -- extraction ----------------------------------------------------------
 
@@ -603,7 +582,7 @@ class _Tableau:
         the lcm of the denominators of the rows whose basic variable is an
         unknown (such a row is always stored)."""
         T, den, rc = self.T, self.den, self.rhs_col
-        basic = [(var, i) for i, var in enumerate(self.basis) if var < self.nz]
+        basic = [(var, i) for i, var in enumerate(self.basis) if 0 <= var < self.nz]
         scale = lcm(*(den[i] for _, i in basic))
         z = [0] * self.nz
         for var, i in basic:
@@ -668,10 +647,11 @@ def _unstored_entry(
 def lp_solve(program: LinearProgram) -> LpOutcome:
     """Minimise objective . x over the rows and x >= 0, exactly.
 
-    Every active row enters the tableau, an all-zero one too: phase one
-    reports it infeasible exactly when ``0 <relation> rhs`` is false.  A
-    lazy row enters when the optimum breaks it (module docstring).  Statuses
-    Infeasible/Unbounded are outcomes, not errors, and carry no point.
+    Every active row enters the tableau, an all-zero one too: the pivot-ins
+    and the unpriced dual phase report it infeasible exactly when
+    ``0 <relation> rhs`` is false.  A lazy row enters when the optimum
+    breaks it (module docstring).  Statuses Infeasible/Unbounded are
+    outcomes, not errors, and carry no point.
     """
     tab = _Tableau(
         len(program.objective),
@@ -679,14 +659,9 @@ def lp_solve(program: LinearProgram) -> LpOutcome:
         {j: c for j, c in enumerate(program.objective) if c},
     )
 
-    if tab.phase1_row is not None:
-        if not tab.run_phase(tab.phase1_row, stop_at_zero=True):
-            raise InternalInconsistencyError("phase one cannot be unbounded")
-        if tab.T[tab.phase1_row].get(tab.rhs_col, 0) != 0:
-            return LpOutcome(LpStatus.INFEASIBLE)
-        tab.drop_artificials()
-
-    if not tab.run_phase(tab.cost_row, stop_at_zero=False):
+    if not (tab.pivot_in_equalities() and tab.run_dual_phase(priced=False)):
+        return LpOutcome(LpStatus.INFEASIBLE)
+    if not tab.run_phase():
         if program.lazy:
             return lp_solve(
                 LinearProgram(program.objective, program.constraints + program.lazy)

@@ -479,17 +479,20 @@ def check_tight_system(
     row is homogeneous, with rhs 0.  The monotonicity rows, from two
     thirds of the system at d = 4 to four fifths at d = 7, are lazy rows of
     the LP: they enter only when the optimum breaks them, and the optimum
-    is that of the whole system.  y = 0 is feasible, but the solver still
-    enters each balance equality with an artificial variable and pivots it
-    out before it optimises (80 of 141 pivots on p_not_m_rows(Random(17), 5)
-    at b = 1).  Over the 96 d = 4 inputs of the benchmark's certify-lp
-    pool, the 16 M-matrices at b = 1 close; in the other 80 LPs the 1,548
-    phase-2 pivots take 55% of the pivot time, the 2,560 pivot-outs 23% and
-    the 289 dual pivots after lazy rows 22%.  Of the time of those 96
-    calls, pivots take about 68% and the rest of the solver 24% (its
-    tableau, ratio tests and point checks); the balance rows take 2%, the
-    products R_ij b_j 1%, the closure 0.7%, and building and verifying the
-    system for the 32 witnesses 3% (each function timed by a wrapper).
+    is that of the whole system.  y = 0 is feasible, so the solver's
+    feasibility phase makes no pivot, but it still pivots each balance
+    equality in on its least column before it optimises (80 of 141 pivots
+    on p_not_m_rows(Random(17), 5) at b = 1).  Over the 96 d = 4 inputs of
+    the benchmark's certify-lp pool, the 16 M-matrices at b = 1 close; in
+    the other 80 LPs the 1,548 phase-2 pivots take 55% of the pivot time,
+    the 2,560 pivot-ins 23% and the 289 dual pivots after lazy rows 22%.
+    These shares hold at d = 4 only: on p_not_m_rows(Random(17), d) at
+    b = 1 the pivot-ins took about a fifth of the LP at d = 5 and a sixth
+    at d = 6 (192 of 389 pivots).  Of the time of those 96 calls, pivots
+    take about 68% and the rest of the solver 24% (its tableau, ratio tests
+    and point checks); the balance rows take 2%, the products R_ij b_j 1%,
+    the closure 0.7%, and building and verifying the system for the 32
+    witnesses 3% (each function timed by a wrapper).
     From d = 5 on, an LP that runs grows about 10x per dimension, hence
     ``LP_DIMENSION_CAP``.  Each balance row becomes one sparse LP row over
     the columns of its own unknowns.  The bounds y_k <= 1, the monotonicity

@@ -4,6 +4,7 @@ import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import pytest
@@ -18,6 +19,7 @@ from reflecto import (
     LinearProgram,
     LpStatus,
     MatrixShapeError,
+    ReflectoError,
     Relation,
     build_system,
     check_tight_system,
@@ -128,6 +130,15 @@ def test_constraint_keeps_only_nonzero_terms():
     assert constraint([0, 0], Relation.GE, -1).terms == ()
 
 
+@pytest.mark.parametrize("relation", ["<", "==", "=>", "", None])
+def test_unknown_relation_is_a_typed_error(relation):
+    with pytest.raises(ReflectoError) as caught:
+        constraint([1], relation, 1)
+    message = str(caught.value)
+    assert all(f"'{value}'" in message for value in ("<=", "=", ">=")), message
+    assert repr(relation) in message
+
+
 @pytest.mark.parametrize(
     "terms",
     [((2, Fraction(1)),), ((-1, Fraction(1)),), ((0, Fraction(1)), (0, Fraction(2)))],
@@ -221,11 +232,12 @@ def test_integer_point_check_agrees_with_row_value(seed, k, delta):
 
 @pytest.fixture
 def kernel_log(monkeypatch):
-    """Record the pivots, lexicographic tie-breaks and the redundant rows
-    that ``drop_artificials`` leaves empty, in every solve."""
-    log = {"pivots": [], "lex": [], "drops": []}
+    """Record the pivots, lexicographic tie-breaks and, for every solve,
+    whether ``pivot_in_equalities`` found the equalities consistent and how
+    many redundant rows it left empty."""
+    log = {"pivots": [], "lex": [], "pivot_in": []}
     tableau = linprog._Tableau
-    pivot, lex_least, drop = tableau._pivot, tableau._lex_least, tableau.drop_artificials
+    pivot, lex_least, pivot_in = tableau._pivot, tableau._lex_least, tableau.pivot_in_equalities
 
     def spy_pivot(self, r, c):
         log["pivots"].append(self.T[r][c])
@@ -235,28 +247,29 @@ def kernel_log(monkeypatch):
         log["lex"].append(len(tied))
         return lex_least(self, tied, reference)
 
-    def spy_drop(self):
-        drop(self)
-        log["drops"].append(sum(var >= self.art_start for var in self.basis))
+    def spy_pivot_in(self):
+        consistent = pivot_in(self)
+        log["pivot_in"].append((consistent, sum(var < 0 for var in self.basis)))
+        return consistent
 
     monkeypatch.setattr(tableau, "_pivot", spy_pivot)
     monkeypatch.setattr(tableau, "_lex_least", spy_lex_least)
-    monkeypatch.setattr(tableau, "drop_artificials", spy_drop)
+    monkeypatch.setattr(tableau, "pivot_in_equalities", spy_pivot_in)
     return log
 
 
 def test_redundant_equality_row_stays_in_place(kernel_log, monkeypatch):
-    # After phase one the duplicate row is zero on every real column and its
-    # artificial cannot leave the basis, so the row stays, empty, with its
-    # artificial basic at 0.
+    # Once the first row is pivoted in, the duplicate row is zero on every
+    # column and its rhs, so it stays, empty, with its placeholder basic.
     after = []
-    drop = linprog._Tableau.drop_artificials
+    pivot_in = linprog._Tableau.pivot_in_equalities
 
-    def spy_drop(self):
-        drop(self)
-        after.append((self.m, len(self.T), self.T[1], self.basis[1] >= self.art_start))
+    def spy_pivot_in(self):
+        consistent = pivot_in(self)
+        after.append((self.m, len(self.T), self.T[1], self.basis[1] < 0))
+        return consistent
 
-    monkeypatch.setattr(linprog._Tableau, "drop_artificials", spy_drop)
+    monkeypatch.setattr(linprog._Tableau, "pivot_in_equalities", spy_pivot_in)
     program = linear_program(
         [1, 2],
         [constraint([1, 1], Relation.EQ, 2), constraint([1, 1], Relation.EQ, 2)],
@@ -265,9 +278,21 @@ def test_redundant_equality_row_stays_in_place(kernel_log, monkeypatch):
     assert outcome.status is LpStatus.OPTIMAL
     assert outcome.optimum == 2
     assert outcome.solution == (Fraction(2), Fraction(0))
-    assert kernel_log["drops"] == [1]
+    assert kernel_log["pivot_in"] == [(True, 1)]
+    assert len(kernel_log["pivots"]) == 1
     # Both rows and the cost row remain; row 1 is the empty redundant row.
     assert after == [(2, 3, {}, True)]
+
+
+def test_inconsistent_equalities_are_infeasible(kernel_log):
+    # x + y = 1 pivots in; 2x + 2y = 3 is then 0 = 1, so no phase runs.
+    program = linear_program(
+        [1, 1],
+        [constraint([1, 1], Relation.EQ, 1), constraint([2, 2], Relation.EQ, 3)],
+    )
+    assert lp_solve(program) == linprog.LpOutcome(LpStatus.INFEASIBLE)
+    assert kernel_log["pivot_in"] == [(False, 1)]
+    assert len(kernel_log["pivots"]) == 1
 
 
 # 0 <relation> rhs is false for these, so the all-zero row makes the program
@@ -296,9 +321,9 @@ def test_all_zero_row_goes_through_the_tableau(relation, rhs):
         assert outcome.status is LpStatus.OPTIMAL
 
 
-def test_zero_level_artificial_leaves_on_negative_entry(kernel_log):
-    # A homogeneous equality needs no phase-one pivot; its artificial is
-    # pivoted out on the first real column, whose entry is -1.
+def test_homogeneous_equality_pivots_in_on_a_negative_entry(kernel_log):
+    # A homogeneous equality is pivoted in on its least column, whose entry
+    # is -1.
     program = linear_program(
         [-1, -1],
         [constraint([-1, 1], Relation.EQ, 0), constraint([1, 1], Relation.LE, 2)],
@@ -308,7 +333,7 @@ def test_zero_level_artificial_leaves_on_negative_entry(kernel_log):
     assert outcome.optimum == -2
     assert outcome.solution == (Fraction(1), Fraction(1))
     assert kernel_log["pivots"][0] == -1
-    assert kernel_log["drops"] == [0]
+    assert kernel_log["pivot_in"] == [(True, 0)]
 
 
 def _chain_program(n=14):
@@ -359,21 +384,25 @@ def test_beale_cycling_example_reaches_its_optimum(kernel_log):
     assert outcome.optimum == Fraction(-5, 4)
     assert outcome.solution == (Fraction(3, 4), 0, 1, 0, 1, 0)
     assert kernel_log["lex"] == [2, 2]
-    # 2 pivots move the artificials out, then 5 more reach the optimum.
+    # 2 pivots move the equalities in, then 5 more reach the optimum.
     assert len(kernel_log["pivots"]) == 7
 
 
 def test_pivot_limit_stops_a_phase(monkeypatch):
-    # Beale's phase 2 takes 5 pivots; the guard against a solver fault
-    # raises on the 4th.
-    monkeypatch.setattr(linprog, "_MAX_PIVOTS", 3)
-    with pytest.raises(InternalInconsistencyError, match="pivot limit"):
-        lp_solve(_beale_program())
+    # The limit counts every pivot of one solve: Beale's 2 pivot-ins and 5
+    # phase-2 pivots.  The guard against a solver fault raises on the 4th
+    # pivot at a limit of 3, and on the 7th at 6; at 7 the solve ends.
+    for limit in (3, 6):
+        monkeypatch.setattr(linprog, "_MAX_PIVOTS", limit)
+        with pytest.raises(InternalInconsistencyError, match="pivot limit"):
+            lp_solve(_beale_program())
+    monkeypatch.setattr(linprog, "_MAX_PIVOTS", 7)
+    assert lp_solve(_beale_program()).optimum == Fraction(-5, 4)
 
 
 def test_pivot_limit_stops_the_dual_phase(monkeypatch):
-    # x = 0 is optimal for the active row without a pivot; the lazy x >= 1
-    # takes one dual pivot, which the limit refuses
+    # x = 0 is optimal for the active row without a pivot; the solve's one
+    # pivot is the lazy x >= 1's dual pivot, which the limit refuses
     monkeypatch.setattr(linprog, "_MAX_PIVOTS", 0)
     program = linear_program([1], [_cap(1, 0, 5)])
     program = replace(program, lazy=(constraint([1], Relation.GE, 1),))
@@ -415,6 +444,22 @@ def _random_program(rng: random.Random):
     return linear_program(objective, rows)
 
 
+def _signed_rhs_program(rng: random.Random):
+    """A random program whose every GE row has rhs > 0 and every LE row
+    rhs < 0, so no inequality holds at x = 0."""
+    n = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
+        relation = rng.choice([Relation.LE, Relation.GE, Relation.EQ])
+        rhs = rng.randint(1, 6)
+        if relation is Relation.LE or (relation is Relation.EQ and rng.random() < 0.5):
+            rhs = -rhs
+        rows.append(constraint(coeffs, relation, rhs))
+    objective = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+    return linear_program(objective, rows)
+
+
 def _split(program, rng: random.Random):
     """``program`` with each row made lazy at random."""
     lazy = [rng.random() < 0.5 for _ in program.constraints]
@@ -428,13 +473,16 @@ def _split(program, rng: random.Random):
 
 @pytest.fixture
 def dual_log(monkeypatch):
-    """Record each dual phase's result and every basis it pivots to; fail
-    if a basis repeats before the objective moves."""
+    """Record each lazy-row dual phase's result and every basis it pivots
+    to; fail if a basis repeats before the objective moves.  The unpriced
+    phase that restores x >= 0 before phase 2 is not recorded."""
     log = {"phases": [], "lex": 0, "pivots": 0}
     tableau = linprog._Tableau
     run_dual, pivot, lex = tableau.run_dual_phase, tableau._pivot, tableau._dual_lex_least
 
-    def spy_run_dual(self):
+    def spy_run_dual(self, priced=True):
+        if not priced:
+            return run_dual(self, priced)
         self.dual_bases = {frozenset(self.basis)}
         log["phases"].append(run_dual(self))
         del self.dual_bases
@@ -454,7 +502,8 @@ def dual_log(monkeypatch):
         log["pivots"] += 1
 
     def spy_lex(self, tied, reference):
-        log["lex"] += 1
+        if hasattr(self, "dual_bases"):
+            log["lex"] += 1
         return lex(self, tied, reference)
 
     monkeypatch.setattr(tableau, "run_dual_phase", spy_run_dual)
@@ -480,6 +529,46 @@ def test_lazy_rows_keep_status_and_optimum(dual_log, zero_objective):
     assert dual_log["phases"].count(True) > 20 and dual_log["phases"].count(False) > 20
     assert dual_log["pivots"] > 50
     assert (dual_log["lex"] > 20) is zero_objective
+
+
+@pytest.mark.parametrize("zero_objective", [False, True])
+def test_unpriced_dual_phase_never_repeats_a_basis(monkeypatch, zero_objective):
+    # The feasibility phase reads every reduced cost as 0, so the
+    # lexicographic rule decides each of its ratio tests, and no basis may
+    # come twice in it, whatever the objective.  It ends at x >= 0 or on a
+    # row that proves the program infeasible.
+    tableau = linprog._Tableau
+    run_dual, pivot = tableau.run_dual_phase, tableau._pivot
+    log = {"phases": [], "pivots": 0}
+
+    def spy_run_dual(self, priced=True):
+        if priced:
+            return run_dual(self, priced)
+        self.unpriced_bases = {frozenset(self.basis)}
+        feasible = run_dual(self, priced)
+        del self.unpriced_bases
+        assert feasible is (self._dual_leaving() is None)
+        log["phases"].append(feasible)
+        return feasible
+
+    def spy_pivot(self, r, c):
+        pivot(self, r, c)
+        bases = getattr(self, "unpriced_bases", None)
+        if bases is not None:
+            assert frozenset(self.basis) not in bases
+            bases.add(frozenset(self.basis))
+            log["pivots"] += 1
+
+    monkeypatch.setattr(tableau, "run_dual_phase", spy_run_dual)
+    monkeypatch.setattr(tableau, "_pivot", spy_pivot)
+    rng = random.Random(32)
+    for _ in range(300):
+        program = _signed_rhs_program(rng)
+        if zero_objective:
+            program = replace(program, objective=(Fraction(0),) * len(program.objective))
+        lp_solve(program)
+    assert log["phases"].count(True) > 50 and log["phases"].count(False) > 50
+    assert log["pivots"] > 150
 
 
 def test_lazy_row_makes_the_program_infeasible(dual_log):
@@ -511,49 +600,64 @@ def test_lazy_equality_enters_as_two_rows():
     assert outcome.optimum == 1 and outcome.solution == (Fraction(3, 4), Fraction(1, 4))
 
 
+def _agrees_with_highs(program, scipy_optimize) -> bool:
+    """Whether ``lp_solve`` reaches HiGHS's status and, when optimal, its
+    optimum; False when HiGHS reports numerical trouble."""
+    outcome = lp_solve(program)
+    n = len(program.objective)
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+    for row in program.constraints:
+        coeffs = [0.0] * n
+        for j, c in row.terms:
+            coeffs[j] = float(c)
+        if row.relation is Relation.LE:
+            A_ub.append(coeffs)
+            b_ub.append(float(row.rhs))
+        elif row.relation is Relation.GE:
+            A_ub.append([-c for c in coeffs])
+            b_ub.append(-float(row.rhs))
+        else:
+            A_eq.append(coeffs)
+            b_eq.append(float(row.rhs))
+    reference = scipy_optimize.linprog(
+        [float(c) for c in program.objective],
+        A_ub=A_ub or None,
+        b_ub=b_ub or None,
+        A_eq=A_eq or None,
+        b_eq=b_eq or None,
+        bounds=(0, None),
+        method="highs",
+    )
+    if reference.status == 0:
+        assert outcome.status is LpStatus.OPTIMAL
+        assert abs(float(outcome.optimum) - reference.fun) < 1e-7
+    elif reference.status == 2:
+        assert outcome.status is LpStatus.INFEASIBLE
+    elif reference.status == 3:
+        assert outcome.status is LpStatus.UNBOUNDED
+    else:  # numerical trouble in the oracle; nothing to compare
+        return False
+    return True
+
+
 def test_against_float_solver():
     scipy_optimize = pytest.importorskip("scipy.optimize")
     rng = random.Random(21)
-    agreements = 0
-    for _ in range(60):
-        program = _random_program(rng)
-        outcome = lp_solve(program)
-
-        n = len(program.objective)
-        A_ub, b_ub, A_eq, b_eq = [], [], [], []
-        for row in program.constraints:
-            coeffs = [0.0] * n
-            for j, c in row.terms:
-                coeffs[j] = float(c)
-            if row.relation is Relation.LE:
-                A_ub.append(coeffs)
-                b_ub.append(float(row.rhs))
-            elif row.relation is Relation.GE:
-                A_ub.append([-c for c in coeffs])
-                b_ub.append(-float(row.rhs))
-            else:
-                A_eq.append(coeffs)
-                b_eq.append(float(row.rhs))
-        reference = scipy_optimize.linprog(
-            [float(c) for c in program.objective],
-            A_ub=A_ub or None,
-            b_ub=b_ub or None,
-            A_eq=A_eq or None,
-            b_eq=b_eq or None,
-            bounds=(0, None),
-            method="highs",
-        )
-        if reference.status == 0:
-            assert outcome.status is LpStatus.OPTIMAL
-            assert abs(float(outcome.optimum) - reference.fun) < 1e-7
-        elif reference.status == 2:
-            assert outcome.status is LpStatus.INFEASIBLE
-        elif reference.status == 3:
-            assert outcome.status is LpStatus.UNBOUNDED
-        else:  # numerical trouble in the oracle; nothing to compare
-            continue
-        agreements += 1
+    agreements = sum(_agrees_with_highs(_random_program(rng), scipy_optimize) for _ in range(60))
     assert agreements >= 50
+
+
+def test_infeasible_start_against_float_solver():
+    # Every inequality is broken at x = 0, so the slack basis starts with
+    # negative values that the unpriced dual phase must restore or refute.
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(31)
+    statuses = []
+    for _ in range(200):
+        program = _signed_rhs_program(rng)
+        assert _agrees_with_highs(program, scipy_optimize)
+        statuses.append(lp_solve(program).status)
+    assert all(statuses.count(status) > 10 for status in LpStatus), statuses
 
 
 def test_row_permutation_preserves_optimum():
@@ -596,14 +700,14 @@ def test_random_program_outcomes_are_pinned():
     assert digest == "3ff470dc25a840cb3521be16a5d409da77b10b14e62e92623c72880ef150b984"
 
 
-def _solve_every_program():
-    """Solve the pinned LPs: tightness LPs at d = 2..5, then 60 random programs.
+def _tightness_programs():
+    """The pinned tightness LPs at d = 2..5.
 
     For every d, one M-matrix and one P-not-M matrix, each at b = 1 and at one
     sampled b.  The d = 5 P-not-M matrix is drawn from its own seed, whose two
     LPs take 156 and 143 pivots; the draw of the shared stream takes 220 and
     251 (1,021 and 1,651 under the former Bland fallback).  The box LP is
-    solved directly, with every row active: ``check_tight_system`` closes
+    built directly, with every row active: ``check_tight_system`` closes
     some of these systems by sign forcing and would skip their LPs, and it
     makes the monotonicity rows lazy, which takes the four d = 5 P-not-M
     LPs to 134, 143, 151 and 148 pivots.
@@ -615,15 +719,24 @@ def _solve_every_program():
         R = gen(stream, d)
         sampled = tuple(Fraction(stream.randint(1, 16), stream.randint(1, 16)) for _ in range(d))
         for b in ((1,) * d, sampled):
-            yield lp_solve(all_active_box_program(build_system(R, b)))
+            yield all_active_box_program(build_system(R, b))
+
+
+def _random_programs():
     rng = random.Random(21)
     for _ in range(60):
-        yield lp_solve(_random_program(rng))
+        yield _random_program(rng)
 
 
-def test_pivot_sequence_is_pinned(monkeypatch):
-    # Every (row, column) the solver pivots on, in order; how the tableau
-    # stores its rows must not change a single pivot choice.
+def _solve_every_program():
+    """Solve the tightness LPs, then the 60 random programs."""
+    for program in chain(_tightness_programs(), _random_programs()):
+        yield lp_solve(program)
+
+
+def _pivot_digest(monkeypatch, programs):
+    """The number of pivots in solving ``programs``, one '|' after each
+    solve included, and the digest of every (row, column) in order."""
     pivots = []
     pivot = linprog._Tableau._pivot
 
@@ -632,11 +745,27 @@ def test_pivot_sequence_is_pinned(monkeypatch):
         pivot(self, r, c)
 
     monkeypatch.setattr(linprog._Tableau, "_pivot", spy_pivot)
-    for _ in _solve_every_program():
+    for program in programs:
+        lp_solve(program)
         pivots.append("|")
-    assert len(pivots) == 937 + 76
-    digest = hashlib.sha256(" ".join(pivots).encode()).hexdigest()
-    assert digest == "4c6f06f7901f51f8ee5e08c299bcced9749181243a5bec22b97abb5066175082"
+    return len(pivots), hashlib.sha256(" ".join(pivots).encode()).hexdigest()
+
+
+def test_pivot_sequence_is_pinned(monkeypatch):
+    # Every (row, column) the solver pivots on in the tightness LPs, in
+    # order; how the tableau stores its rows, or how it reaches a feasible
+    # basis, must not change a single pivot choice.
+    count, digest = _pivot_digest(monkeypatch, _tightness_programs())
+    assert count == 845 + 16
+    assert digest == "7a3291174462384cb19d22612b112434673cf6aa1f4b353fa72cd9130684ac9d"
+
+
+def test_random_program_pivot_sequence_is_pinned(monkeypatch):
+    # The same for the 60 random programs, whose inequalities may be broken
+    # at x = 0.
+    count, digest = _pivot_digest(monkeypatch, _random_programs())
+    assert count == 104 + 60
+    assert digest == "77763d9fcecbe00c3c5bd41c148d3028448b3a3cd8d2bc75f6a1791065190031"
 
 
 class _FullTableau(linprog._Tableau):
@@ -659,14 +788,10 @@ class _FullTableau(linprog._Tableau):
 def test_derived_rows_equal_stored_rows(monkeypatch):
     # Each solve runs a full-storage reference beside it, pivoting on the same
     # (row, column); after every pivot each unstored row, derived from the
-    # stored rows, must equal the reference's row exactly.  Rows are compared
-    # as rationals, by cross-multiplying: deleting the artificial columns can
-    # leave a stored row with a common factor that a derived row, reduced by
-    # its gcd, does not carry.  The reference deletes its artificial columns
-    # at the same point, before the pivot-outs, which both then take in step.
+    # stored rows, must equal the reference's row exactly.  Both are in
+    # lowest terms over a positive denominator, so they compare as they are.
     tableau = linprog._Tableau
     init, pivot = tableau.__init__, tableau._pivot
-    delete = tableau._delete_artificial_columns
     checked = {"rows": 0, "pivots": 0}
 
     def assert_rows_match(tab):
@@ -676,9 +801,7 @@ def test_derived_rows_equal_stored_rows(monkeypatch):
             assert tab.basis[i] >= tab.nz and not tab.T[i]
             row, den = tab._derived_row(i)
             expected, expected_den = ref.T[i], ref.den[i]
-            assert {j: v * expected_den for j, v in row.items()} == {
-                j: v * den for j, v in expected.items()
-            }
+            assert (row, den) == (expected, expected_den)
             checked["rows"] += 1
 
     def spy_init(self, *args):
@@ -692,40 +815,46 @@ def test_derived_rows_equal_stored_rows(monkeypatch):
         assert_rows_match(self)
         checked["pivots"] += 1
 
-    def spy_delete(self):
-        delete(self)
-        delete(self.reference)
-        assert_rows_match(self)
-
     monkeypatch.setattr(tableau, "__init__", spy_init)
     monkeypatch.setattr(tableau, "_pivot", spy_pivot)
-    monkeypatch.setattr(tableau, "_delete_artificial_columns", spy_delete)
     for _ in _solve_every_program():
         pass
-    assert checked["pivots"] == 937
+    assert checked["pivots"] == 949
     assert checked["rows"] > 10 * checked["pivots"]
 
 
 def test_no_basis_repeats_between_objective_moves(monkeypatch):
     # Within a phase, every basis since the objective last moved is kept; a
     # basis seen again before the next move would mean the solver cycles.
-    # Pivots that move artificials out between the phases are not counted.
+    # Phase 2's objective is the cost row's value; the unpriced dual phase
+    # prices nothing, so its objective never moves and no basis may repeat
+    # in it at all.  Pivots that move equalities in before the phases are
+    # not counted.
     tableau = linprog._Tableau
-    run_phase, pivot = tableau.run_phase, tableau._pivot
+    run_phase, run_dual, pivot = tableau.run_phase, tableau.run_dual_phase, tableau._pivot
     checked = {"pivots": 0}
 
-    def spy_run_phase(self, cost_index, stop_at_zero):
-        self.phase_cost = cost_index
+    def cost_value(self):
+        return Fraction(self.T[self.cost_row].get(self.rhs_col, 0), self.den[self.cost_row])
+
+    def watch(self, value, run, *args):
+        self.phase_value = value
         self.bases = {frozenset(self.basis)}
-        done = run_phase(self, cost_index, stop_at_zero)
-        self.phase_cost = None
+        done = run(self, *args)
+        self.phase_value = None
         return done
 
-    def value(self):
-        return Fraction(self.T[self.phase_cost].get(self.rhs_col, 0), self.den[self.phase_cost])
+    def spy_run_phase(self):
+        return watch(self, cost_value, run_phase)
+
+    def spy_run_dual(self, priced=True):
+        if priced:
+            return run_dual(self, priced)
+        return watch(self, lambda self: 0, run_dual, priced)
 
     def spy_pivot(self, r, c):
-        if getattr(self, "phase_cost", None) is None:
+        value = getattr(self, "phase_value", None)
+        if value is None:
             pivot(self, r, c)
             return
         before = value(self)
@@ -738,6 +867,7 @@ def test_no_basis_repeats_between_objective_moves(monkeypatch):
         checked["pivots"] += 1
 
     monkeypatch.setattr(tableau, "run_phase", spy_run_phase)
+    monkeypatch.setattr(tableau, "run_dual_phase", spy_run_dual)
     monkeypatch.setattr(tableau, "_pivot", spy_pivot)
     for _ in _solve_every_program():
         pass
