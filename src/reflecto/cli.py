@@ -312,7 +312,9 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[dict, int]:
         b = file_b
     else:
         b = tuple(Fraction(1) for _ in range(matrix.rows))
-    system = build_system(matrix, b)  # checks the matrix and b before the table is read
+    # checks the matrix and b before the table is read; no row is named
+    # unless a check fails
+    system = build_system(matrix, b)
     table = read_json(args.witness)
     if not isinstance(table, dict):
         raise ReflectoError("witness file must be a JSON object of key/value strings")

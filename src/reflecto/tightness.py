@@ -125,14 +125,17 @@ def canonical_variables(d: int) -> tuple[VarIndex, ...]:
     """Every canonical variable, constants included: 2^d + d*2^(d-1) names,
     in ``VarIndex.sort_key`` order, which is the order of ``_canonical_ids``.
 
-    The names for the most recent d are kept, so the systems, witnesses and
-    ``_frame`` of one dimension share them; at d = 12 they take about
-    20 MiB, which is why only one dimension is kept.
+    The names for the most recent d are kept, so the frame, systems and
+    witnesses of one dimension share them; at d = 12 they take about
+    20 MiB, which is why only one dimension is kept.  Checks run on integer
+    columns and use a name only for the label of a failed check.
     """
-    return tuple(
-        VarIndex(frozenset(i + 1 for i in range(d) if k >> i & 1), k >> d or None)
-        for k in _canonical_ids(d)
-    )
+    return tuple(_name(k, d) for k in _canonical_ids(d))
+
+
+def _name(k: int, d: int) -> VarIndex:
+    """The ``VarIndex`` of id k (see ``_canonical_ids``)."""
+    return VarIndex(frozenset(i + 1 for i in range(d) if k >> i & 1), k >> d or None)
 
 
 # Every unknown also has an integer id.  With n = 2^d and bit i - 1 standing
@@ -192,10 +195,39 @@ class SystemRow:
 
 @dataclass(frozen=True)
 class TightnessSystem:
+    """The system of (R, b): the products of ``_products``, laid on the
+    cached frame of the dimension.  Checks read them on integer columns;
+    ``rows`` names every row, as a ``SystemRow``, only when it is read."""
+
     dimension: int
     b: tuple[Rational, ...]
     variables: tuple[VarIndex, ...]  # free canonical variables, in column order
-    rows: tuple[SystemRow, ...]
+    _products: tuple  # (coefficients, interior), as ``_products`` returns them
+
+    @cached_property
+    def rows(self) -> tuple[SystemRow, ...]:
+        """The balance rows, then the monotonicity rows, in check order."""
+        frame = _frame(self.dimension)
+        names = frame.variables
+        one, minus_one, zero = Fraction(1), Fraction(-1), Fraction(0)
+        rows = []
+        for i, D, terms, rhs in _balance_rows(frame, *self._products):
+            terms = tuple((names[k], c) for k, c in terms)
+            rows.append(SystemRow(_balance_label(names[D], i), terms, Relation.EQ, rhs))
+        for lo, up in frame.covers():
+            lo, up = names[lo], names[up]
+            terms = (lo, one), (up, minus_one)
+            rows.append(SystemRow(_cover_label(lo, up), terms, Relation.GE, zero))
+        return tuple(rows)
+
+
+def _balance_label(D: VarIndex, i: int) -> str:
+    # the key of x_D is "x{...}", so its tail is D's name
+    return f"balance[D={D.key()[1:]},i={i + 1}]"
+
+
+def _cover_label(lower: VarIndex, upper: VarIndex) -> str:
+    return f"mono[{lower.key()}>={upper.key()}]"
 
 
 def _check_inputs(reflection: RatMatrix, b: Sequence[RationalLike]) -> tuple[Rational, ...]:
@@ -218,41 +250,22 @@ class _Frame:
     ``variables`` names the free unknowns by LP column, in canonical order,
     and ``column`` maps each one's id to its column.  ``balance`` has one
     ``(i, x_D, slots)`` per balance row, in row order: i is 0-based, x_D is
-    a column, and ``slots`` lists ``(j, x_D^(j+1))`` for j = 0..d-1, with
-    ``None`` for the anchor of a singleton D = {j+1}.  The interior x_D
-    sorts before every boundary unknown, and these by j, so a row's terms
-    come out in canonical order.  Each consumer's fixed rows are built on
-    first use, so a frame that serves only ``build_system`` holds no LP
-    row, and one that serves only ``_box_program`` no label or
-    ``SystemRow``.
+    a column, and ``slots[j]`` is the column of x_D^(j+1), or ``None`` for
+    the anchor of a singleton D = {j+1}.  The interior x_D sorts before
+    every boundary unknown, and these by j, so a row's terms come out in
+    canonical order.  The LP's fixed rows are built on first use.
     """
 
     dimension: int
     variables: tuple[VarIndex, ...]
     column: Mapping[int, int]
-    balance: tuple[tuple[int, int, tuple[tuple[int, Optional[int]], ...]], ...]
+    balance: tuple  # of (i, x_D, slots)
 
     def covers(self):
         """The ``(lower, upper)`` columns of each monotonicity row, in row
         order; walked, not kept: as pairs they take about 9 MiB at d = 12."""
         column = self.column
         return ((column[lower], column[upper]) for lower, upper in _cover_pairs(self.dimension))
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        # the key of x_D is "x{...}", so its tail is D's name
-        names = self.variables
-        return tuple(f"balance[D={names[D].key()[1:]},i={i + 1}]" for i, D, _ in self.balance)
-
-    @cached_property
-    def monotone(self) -> tuple[SystemRow, ...]:
-        one, minus_one, zero = Fraction(1), Fraction(-1), Fraction(0)
-        names = self.variables
-        pairs = ((names[lower], names[upper]) for lower, upper in self.covers())
-        return tuple(
-            SystemRow(f"mono[{lo.key()}>={up.key()}]", ((lo, one), (up, minus_one)), Relation.GE, zero)
-            for lo, up in pairs
-        )
 
     @cached_property
     def objective(self) -> tuple[Rational, ...]:
@@ -276,92 +289,81 @@ class _Frame:
 def _frame(d: int) -> _Frame:
     """The frame of dimension d; one dimension is kept, as in
     ``canonical_variables``, whose order gives the free unknowns their LP
-    columns, so the LP's point lines up with the system's variables."""
+    columns, so the LP's point lines up with the system's variables.
+
+    That every row is active at x = 1, hence homogeneous in y = 1 - x,
+    depends only on d and is checked here, once: a balance row lists each j
+    once, ``None`` exactly at the anchor of D = {j+1}, so its coefficients
+    sum to its rhs for every R and b, and a monotonicity row x_lo >= x_up
+    joins two unknowns of one family whose subsets differ by one index.
+    """
     full = (1 << d) - 1
     variables = tuple(v for v in canonical_variables(d) if not v.is_constant)
     column = {k: c for c, k in enumerate(k for k in _canonical_ids(d) if k & full)}
     balance = []
     for members, D, slots in _balance_sets(d):
-        pairs = tuple((j, None if s is None else column[s]) for j, s in enumerate(slots))
-        balance.extend((i, column[D], pairs) for i in members)
+        if len(slots) != d or any((s is None) != (D == 1 << j) for j, s in enumerate(slots)):
+            label = _balance_label(_name(D, d), members[0])
+            raise InternalInconsistencyError(f"every row must be active at x = 1; {label} is not")
+        slots = tuple(None if s is None else column[s] for s in slots)
+        balance.extend((i, column[D], slots) for i in members)
+    for lower, upper in _cover_pairs(d):
+        added = upper - lower
+        if added < 1 or added >> d or added & added - 1 or lower & added:
+            label = _cover_label(_name(lower, d), _name(upper, d))
+            raise InternalInconsistencyError(f"{label} must join one family, one index apart")
     return _Frame(d, variables, column, tuple(balance))
 
 
 def build_system(reflection: RatMatrix, b: Sequence[RationalLike]) -> TightnessSystem:
-    """Assemble the balance and monotonicity rows over canonical variables.
+    """The balance and monotonicity rows of (R, b) over canonical variables.
 
     Row (D, i) of the balance family has the term R_ij b_j on x_D^(j) for
-    every j, or on the rhs for the anchor, and minus their sum on x_D; the
-    d^2 products and d sums are formed once per call, and everything else
-    comes from the cached frame of the dimension.  Every row is active at
-    the all-ones assignment by construction (after y = 1 - x it is
-    homogeneous): each row's coefficient sum is checked to equal its rhs
-    before returning.  Raises DimensionCapError above DEFAULT_DIMENSION_CAP
-    before any subset is enumerated.
+    every j, or on the rhs for the anchor, and minus their sum on x_D.  Only
+    the d^2 products and d sums are formed here; the rest is the cached
+    frame of the dimension, which checked once that every row is active at
+    the all-ones assignment.  No row is named until ``rows`` is read.
+    Raises DimensionCapError above DEFAULT_DIMENSION_CAP before any subset
+    is enumerated.
     """
     scale = _check_inputs(reflection, b)
     d = reflection.rows
-    frame = _frame(d)
-    variables = frame.variables
-    coefficients, interior = _products(reflection, scale)
-
-    rows: list[SystemRow] = []
-    zero = Fraction(0)
-    for label, (i, plain, slots) in zip(frame.labels, frame.balance):
-        row = coefficients[i]
-        terms = [(variables[plain], interior[i])] if interior[i] else []
-        rhs = zero
-        for j, k in slots:
-            c = row[j]
-            if not c:
-                continue
-            if k is None:
-                rhs = -c
-            else:
-                terms.append((variables[k], c))
-        rows.append(SystemRow(label, tuple(terms), Relation.EQ, rhs))
-    rows.extend(frame.monotone)
-
-    for row in rows:
-        num, den = _row_sum(row.terms)  # the lhs at x = 1
-        if num * row.rhs.denominator != row.rhs.numerator * den:
-            raise InternalInconsistencyError(
-                f"every row must be active at the all-ones assignment; {row.label} is not"
-            )
-    return TightnessSystem(
-        dimension=d,
-        b=scale,
-        variables=variables,
-        rows=tuple(rows),
-    )
+    return TightnessSystem(d, scale, _frame(d).variables, _products(reflection, scale))
 
 
-def _products(
-    reflection: RatMatrix, scale: Sequence[Rational]
-) -> tuple[list[list[Rational]], list[Rational]]:
+def _products(reflection: RatMatrix, scale: Sequence[Rational]) -> tuple[tuple, tuple]:
     """The x coefficients of balance row (D, i): R_ij b_j on x_D^(j), as
     ``coefficients[i][j]``, and minus their sum on x_D, as ``interior[i]``."""
     d = reflection.rows
-    coefficients = [[reflection.at(i, j) * scale[j] for j in range(d)] for i in range(d)]
-    return coefficients, [-sum(row, Fraction(0)) for row in coefficients]
+    coefficients = tuple(tuple(reflection.at(i, j) * scale[j] for j in range(d)) for i in range(d))
+    return coefficients, tuple(-sum(row, Fraction(0)) for row in coefficients)
 
 
-def _row_sum(
-    terms: Sequence[tuple[VarIndex, Rational]], weight: Optional[Mapping[VarIndex, Rational]] = None
-) -> tuple[int, int]:
-    """sum(c * weight[var]) over a row's terms, weight 1 when None, as
-    (num, den) with den > 0.
+def _balance_rows(frame: _Frame, coefficients, interior):
+    """``(i, x_D, terms, rhs)`` per balance row, in row order, from the
+    products of ``_products``: the row's nonzero ``(column, coefficient)``
+    terms, x_D's first, and the rhs, minus the anchor's coefficient or 0."""
+    zero = Fraction(0)
+    for i, plain, slots in frame.balance:
+        terms = [(plain, interior[i])] if interior[i] else []
+        rhs = zero
+        for a, k in zip(coefficients[i], slots):
+            if k is None:
+                rhs = -a
+            elif a:
+                terms.append((k, a))
+        yield i, plain, terms, rhs
 
-    Summed in integers over one running denominator, which grows only when
-    a term's denominator differs from it: a Fraction sum would reduce at
-    each term, and this runs on every row of every system built.
-    """
+
+def _row_sum(terms, weight: Sequence[Rational]) -> tuple[int, int]:
+    """sum(c * weight[k]) over a row's ``(column, c)`` terms, as (num, den)
+    with den > 0, in integers over one running denominator, which grows
+    only when a term's denominator differs from it: a Fraction sum would
+    reduce at each term, and this runs on every balance row checked."""
     num, den = 0, 1
-    for var, c in terms:
-        n, d = c.numerator, c.denominator
-        if weight is not None:
-            w = weight[var]
-            n, d = n * w.numerator, d * w.denominator
+    for k, c in terms:
+        w = weight[k]
+        n, d = c.numerator * w.numerator, c.denominator * w.denominator
         if d == den:
             num += n
         else:
@@ -401,40 +403,57 @@ def verify_assignment(
     """Exact check of every anchor, row and range; reports each one that fails.
 
     The assignment must cover every canonical variable of the system's
-    dimension (constants included).  Failures come in check order: anchors,
-    then rows, then ranges; a check that passes leaves no record.
-
-    Each row's lhs is summed in integers by ``_row_sum``, over the
-    denominators of that row's own terms; a failed row's lhs is evaluated
-    again by ``row_value``, in Fractions, for its detail.
+    dimension (constants included); it is read once, into a list by LP
+    column.  Failures come in check order: anchors, then balance rows, then
+    monotonicity rows (``_failed_checks``), then ranges; a check that
+    passes leaves no record.
     """
     everything = canonical_variables(system.dimension)
+    given = []
     for var in everything:
-        if var not in assignment:
-            raise MissingVariableError(var.key())
-    value = {var: as_rational(assignment[var]) for var in everything}
-
-    failed: list[CheckResult] = []
-    for var in everything:
-        if var.is_constant and value[var] != 1:
-            failed.append(
-                CheckResult(f"anchor[{var.key()}=1]", f"{var.key()} = {format_rational(value[var])}")
-            )
-    for row in system.rows:
-        num, den = _row_sum(row.terms, value)
-        # lhs = num / den against the rhs, both denominators positive
-        rhs = row.rhs
-        if not row.relation.holds(num * rhs.denominator, rhs.numerator * den):
-            lhs = row_value(row.terms, value)
-            detail = f"lhs = {format_rational(lhs)}, rhs = {format_rational(rhs)}"
-            failed.append(CheckResult(row.label, detail))
-    for var in system.variables:
-        if not 0 <= value[var] <= 1:
-            failed.append(
-                CheckResult(f"range[{var.key()}]", f"{var.key()} = {format_rational(value[var])}")
-            )
-    is_all_ones = all(v == 1 for v in value.values())
+        try:
+            given.append(assignment[var])
+        except KeyError:
+            raise MissingVariableError(var.key()) from None
+    failed, x = [], []
+    for var, value in zip(everything, map(as_rational, given)):
+        if var.subset:
+            x.append(value)
+        elif value != 1:
+            key = var.key()
+            failed.append(CheckResult(f"anchor[{key}=1]", f"{key} = {format_rational(value)}"))
+    is_all_ones = not failed and all(v == 1 for v in x)
+    failed += _failed_checks(_frame(system.dimension), system._products, x)
     return VerificationReport(is_all_ones, tuple(failed))
+
+
+def _failed_checks(frame: _Frame, products, x: Sequence[Rational]) -> list[CheckResult]:
+    """Each balance, monotonicity and range check that ``x``, the free
+    unknowns' values by column, fails, in check order.
+
+    A balance row's lhs is summed in integers by ``_row_sum``, and a
+    monotonicity row compares its two values in integers.  Only a failed
+    check builds its label and detail, a balance row's lhs again through
+    ``row_value``, in Fractions.
+    """
+    names = frame.variables
+    failed = []
+    for i, D, terms, rhs in _balance_rows(frame, *products):
+        num, den = _row_sum(terms, x)
+        # lhs = num / den against the rhs, both denominators positive
+        if num * rhs.denominator != rhs.numerator * den:
+            detail = f"lhs = {format_rational(row_value(terms, x))}, rhs = {format_rational(rhs)}"
+            failed.append(CheckResult(_balance_label(names[D], i), detail))
+    for lo, up in frame.covers():
+        lower, upper = x[lo], x[up]
+        if lower.numerator * upper.denominator < upper.numerator * lower.denominator:
+            detail = f"lhs = {format_rational(lower - upper)}, rhs = 0"
+            failed.append(CheckResult(_cover_label(names[lo], names[up]), detail))
+    for k, value in enumerate(x):
+        if not 0 <= value <= 1:
+            key = names[k].key()
+            failed.append(CheckResult(f"range[{key}]", f"{key} = {format_rational(value)}"))
+    return failed
 
 
 # --------------------------------------------------------------------------
@@ -458,9 +477,7 @@ class TightnessVerdict:
     witness: Optional[dict]
 
 
-def check_tight_system(
-    reflection: RatMatrix, b: Sequence[RationalLike]
-) -> TightnessVerdict:
+def check_tight_system(reflection: RatMatrix, b: Sequence[RationalLike]) -> TightnessVerdict:
     """Decide whether (R, b) admits only the all-ones solution.
 
     First ``_unforced_count`` closes the system under sign forcing, from
@@ -474,39 +491,27 @@ def check_tight_system(
     closure leaves.
 
     The LP runs on the substitution y = 1 - x with y >= 0 and one row
-    y_k <= 1 per unknown, maximising sum(y) over the rows of the bounded
-    system (``_box_program``).  Every row is active at x = 1, so in y every
-    row is homogeneous, with rhs 0.  The monotonicity rows, from two
-    thirds of the system at d = 4 to four fifths at d = 7, are lazy rows of
-    the LP: they enter only when the optimum breaks them, and the optimum
-    is that of the whole system.  y = 0 is feasible, so the solver's
-    feasibility phase makes no pivot, but it still pivots each balance
-    equality in on its least column before it optimises (80 of 141 pivots
-    on p_not_m_rows(Random(17), 5) at b = 1).  Over the 96 d = 4 inputs of
-    the benchmark's certify-lp pool, the 16 M-matrices at b = 1 close; in
-    the other 80 LPs the 1,548 phase-2 pivots take 55% of the pivot time,
-    the 2,560 pivot-ins 23% and the 289 dual pivots after lazy rows 22%.
-    These shares hold at d = 4 only: on p_not_m_rows(Random(17), d) at
-    b = 1 the pivot-ins took about a fifth of the LP at d = 5 and a sixth
-    at d = 6 (192 of 389 pivots).  Of the time of those 96 calls, pivots
-    take about 68% and the rest of the solver 24% (its tableau, ratio tests
-    and point checks); the balance rows take 2%, the products R_ij b_j 1%,
-    the closure 0.7%, and building and verifying the system for the 32
-    witnesses 3% (each function timed by a wrapper).
-    From d = 5 on, an LP that runs grows about 10x per dimension, hence
-    ``LP_DIMENSION_CAP``.  Each balance row becomes one sparse LP row over
-    the columns of its own unknowns.  The bounds y_k <= 1, the monotonicity
-    rows and the objective depend only on d: the cached ``_frame`` of the
-    dimension builds them once, and only once an LP is due, so a system
-    that closes or is refused allocates none.  The system itself is built
-    only for a witness, which is re-verified exactly on it, with every
-    anchor, row and range check.
+    y_k <= 1 per unknown, maximising sum(y) (``_box_program``).  Every row
+    is active at x = 1, so in y every row is homogeneous.  The
+    monotonicity rows, from two thirds of the system at d = 4 to four
+    fifths at d = 7, are lazy rows of the LP: they enter only when the
+    optimum breaks them, and the optimum is that of the whole system.
+    y = 0 is feasible, so the feasibility phase makes no pivot, but each
+    balance equality is still pivoted in before the solver optimises (80
+    of 141 pivots on p_not_m_rows(Random(17), 5) at b = 1).  From d = 5
+    on, an LP that runs grows about 10x per dimension, hence
+    ``LP_DIMENSION_CAP``.  The bounds, the monotonicity rows and the
+    objective depend only on d: the cached ``_frame`` builds them once,
+    and only once an LP is due.  A witness x = 1 - y is re-verified
+    exactly, on the frame's columns, by every row and range check of
+    ``verify_assignment`` (its anchors are 1 by construction), and keyed
+    by ``VarIndex`` only to be returned; no system is built.
     """
     scale = _check_inputs(reflection, b)
     d = reflection.rows
-    coefficients, interior = _products(reflection, scale)
+    products = _products(reflection, scale)
     nfree = _free_count(d)
-    left = _unforced_count(coefficients, interior)
+    left = _unforced_count(*products)
     if not left:
         return TightnessVerdict(True, nfree, Fraction(nfree), None)
     if d > LP_DIMENSION_CAP:
@@ -514,7 +519,7 @@ def check_tight_system(
             f"dimension {d} exceeds the tightness-LP cap {LP_DIMENSION_CAP}, "
             f"and sign forcing leaves {left} of its {nfree} unknowns"
         )
-    outcome = lp_solve(_box_program(coefficients, interior))
+    outcome = lp_solve(_box_program(*products))
     if outcome.status is not LpStatus.OPTIMAL:
         raise InternalInconsistencyError(
             f"the box LP is feasible at y = 0 and bounded; the solver reported {outcome.status.value}"
@@ -523,38 +528,32 @@ def check_tight_system(
     optimum = nfree + outcome.optimum
     if optimum == nfree:
         return TightnessVerdict(True, nfree, optimum, None)
-    system = build_system(reflection, scale)
     one = Fraction(1)
-    witness = {v: one for v in canonical_variables(d) if v.is_constant}
-    for var, y in zip(system.variables, outcome.solution):
-        witness[var] = one - y
-    report = verify_assignment(system, witness)
-    if not report.ok or report.is_all_ones:
+    x = [one - y for y in outcome.solution]
+    frame = _frame(d)
+    if _failed_checks(frame, products, x) or all(v == 1 for v in x):
         raise InternalInconsistencyError("extracted witness failed verification")
+    witness = {v: one for v in canonical_variables(d) if v.is_constant}
+    witness.update(zip(frame.variables, x))
     return TightnessVerdict(False, nfree, optimum, witness)
 
 
-def _box_program(coefficients: list[list[Rational]], interior: list[Rational]) -> LinearProgram:
+def _box_program(coefficients, interior) -> LinearProgram:
     """The LP of ``check_tight_system``: maximise sum(y) over the rows in
     y = 1 - x, with y >= 0 and one row y_k <= 1 per unknown.
 
-    Only the balance rows are built here, from ``_products``: in y each x
-    coefficient negates, and the anchor's term and the rhs cancel, so each
-    row is homogeneous.  The box rows, the lazy monotonicity rows and the
-    objective come from the cached frame."""
+    Only the balance rows are built here, from ``_balance_rows``: in y each
+    x coefficient negates, and the anchor's term and the rhs cancel, so
+    each row is homogeneous.  The box rows, the lazy monotonicity rows and
+    the objective come from the cached frame."""
     frame = _frame(len(coefficients))
-    negated = [([-a for a in row], -c) for row, c in zip(coefficients, interior)]
-    zero = Fraction(0)
-    balance = []
-    for i, column, slots in frame.balance:
-        row, c = negated[i]
-        terms = [(column, c)] if c else []
-        terms.extend((k, row[j]) for j, k in slots if k is not None and row[j])
-        balance.append(Constraint(tuple(terms), Relation.EQ, zero))
+    zero, balance = Fraction(0), []
+    for _, _, terms, _ in _balance_rows(frame, coefficients, interior):
+        balance.append(Constraint(tuple((k, -a) for k, a in terms), Relation.EQ, zero))
     return LinearProgram(frame.objective, tuple(balance) + frame.box, frame.lazy)
 
 
-def _unforced_count(coefficients: list[list[Rational]], interior: list[Rational]) -> int:
+def _unforced_count(coefficients, interior) -> int:
     """How many unknowns sign forcing leaves free; 0 proves the system tight.
 
     It reads the rows of ``build_system`` from the signs of ``_products``

@@ -131,8 +131,8 @@ def random_reentrant_line(
 
 def y_row(row: tightness.SystemRow, column) -> Constraint:
     """``row`` of a built system in y = 1 - x over LP columns: its
-    coefficients negate, and its rhs is 0 because ``build_system`` checked
-    that it is active at x = 1."""
+    coefficients negate, and its rhs is 0 because the frame of its
+    dimension checked that every row is active at x = 1."""
     return Constraint(tuple((column[var], -c) for var, c in row.terms), row.relation, Fraction(0))
 
 

@@ -4,7 +4,6 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -238,24 +237,34 @@ def test_build_system_is_pinned():
         assert digest == "fb6ad871c9f37af262ad5a6eedabfe92f317ba80be01b6c0c586346af7fad34b"
 
 
-@pytest.mark.parametrize("family", ["balance", "monotone", "inactive"])
+@pytest.mark.parametrize("family", ["balance", "two_families", "two_indices"])
 def test_all_ones_check_reads_every_row(monkeypatch, family):
-    # A frame with one row that is not active at x = 1: a balance row that
-    # lost its anchor slot (rhs 0, coefficient sum -R_11 b_1), a monotonicity
-    # row with rhs 1 (coefficient sum 0), which x = 1 violates, or one with
-    # rhs -1, which x = 1 satisfies with slack.
-    real = tightness._frame(3)
+    # _frame checks, once per dimension, that every row is active at x = 1
+    # and that each monotonicity row joins two unknowns of one family one
+    # index apart.  Here the first balance row loses its anchor slot (rhs 0,
+    # coefficient sum -R_11 b_1), or the first cover pair is x{1} >= x{1,2}^(3)
+    # (two families) or x{1} >= x{1,2,3} (two indices), ids 1, 27 and 7.
+    real_sets, real_covers = tightness._balance_sets, tightness._cover_pairs
     if family == "balance":
-        i, plain, slots = real.balance[0]
-        assert slots[i][1] is None  # D = {1}: the anchor x{}^(1)
-        frame = replace(real, balance=((i, plain, slots[:i] + slots[i + 1:]),) + real.balance[1:])
-        label = real.labels[0]
+        def balance_sets(d):
+            rows = real_sets(d)
+            members, D, slots = next(rows)
+            assert D == 1 and slots[0] is None  # D = {1}: the anchor x{}^(1)
+            yield members, D, slots[1:]
+            yield from rows
+
+        monkeypatch.setattr(tightness, "_balance_sets", balance_sets)
+        label = "balance[D={1},i=1]"
     else:
-        bad = replace(real.monotone[0], rhs=Fraction(1 if family == "monotone" else -1))
-        frame = replace(real)
-        vars(frame)["monotone"] = (bad,) + real.monotone[1:]  # where cached_property keeps it
-        label = bad.label
-    monkeypatch.setattr(tightness, "_frame", lambda d: frame)
+        upper = 27 if family == "two_families" else 7
+
+        def cover_pairs(d):
+            yield 1, upper
+            yield from real_covers(d)
+
+        monkeypatch.setattr(tightness, "_cover_pairs", cover_pairs)
+        label = "mono[x{1}>=x{1,2}^(3)]" if family == "two_families" else "mono[x{1}>=x{1,2,3}]"
+    tightness._frame.cache_clear()
     with pytest.raises(InternalInconsistencyError, match=re.escape(label)):
         build_system(REFLECTION, ONES3)
 
@@ -360,12 +369,13 @@ def _fraction_report(system, assignment):
 
 @lru_cache(maxsize=None)
 def _verified_assignments():
-    """(system, assignment) pairs that verify: LP witnesses at d = 1..4, the
-    hand witness and the all-ones assignment of the fixture."""
+    """(system, assignment) pairs that verify: LP witnesses at d = 1..4 and
+    one at d = 5, the hand witness and the all-ones assignment of the
+    fixture."""
     rng = random.Random(64)
     pairs = []
-    while len(pairs) < 12:
-        d = len(pairs) % 4 + 1
+    while len(pairs) < 13:
+        d = len(pairs) % 4 + 1 if len(pairs) < 12 else 5
         R = random_matrix(rng, d, zero_chance=0.4)
         b = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(d)]
         verdict = check_tight_system(R, b)
@@ -379,7 +389,7 @@ def _verified_assignments():
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    st.integers(0, 13),
+    st.integers(0, 14),
     st.lists(
         st.tuples(st.integers(0, 2**16), st.fractions(-2, 2, max_denominator=12)), max_size=4
     ),
@@ -410,6 +420,30 @@ def test_integer_checks_with_a_distinct_prime_denominator_per_value():
     }
     report = verify_assignment(system, assignment)
     assert report.failed
+    assert (report.failed, report.is_all_ones) == _fraction_report(system, assignment)
+
+
+def test_witness_checks_build_no_row(monkeypatch):
+    # at d = 8, with SystemRow made to fail, an assignment that breaks one
+    # balance row, one monotonicity row and one range is still checked, and
+    # its report is what the named rows give in Fractions once SystemRow is
+    # back.  Column 8 of R is 0, so no balance row holds an x^(8).
+    def fail(*args, **kwargs):
+        raise AssertionError("a SystemRow was built")
+
+    table = assignment_to_table({v: Fraction(1) for v in canonical_variables(8)})
+    table["x{2,3,4,5,6,7,8}^(1)"] = "-1/2"  # in balance row (D={1,...,8}, i=1)
+    table["x{1,2,3,4,5,6}^(8)"] = "1/2"  # below its cover x{1,...,7}^(8)
+    assignment = assignment_from_table(table, 8)
+    with monkeypatch.context() as patch:
+        patch.setattr(tightness, "SystemRow", fail)
+        system = build_system(RatMatrix.diagonal([1] * 7 + [0]), [1] * 8)
+        report = verify_assignment(system, assignment)
+    assert [c.label for c in report.failed] == [
+        "balance[D={1,2,3,4,5,6,7,8},i=1]",
+        "mono[x{1,2,3,4,5,6}^(8)>=x{1,2,3,4,5,6,7}^(8)]",
+        "range[x{2,3,4,5,6,7,8}^(1)]",
+    ]
     assert (report.failed, report.is_all_ones) == _fraction_report(system, assignment)
 
 
