@@ -47,6 +47,7 @@ from itertools import chain, combinations
 from typing import Mapping, Optional, Sequence
 
 from .classify import (
+    DEFAULT_DIMENSION_CAP,
     TwoByTwoCase,
     _check_cap,
     _memberships,
@@ -75,10 +76,12 @@ from .rational import Rational, RationalLike, as_rational, format_rational, pars
 
 # Largest d for which check_tight_system runs its LP.  On a system that sign
 # forcing leaves open, such as p_not_m_rows(Random(17), d) of perfbench at
-# b = 1, the LP takes 0.06 s at d = 5, 0.8 s at d = 6 and 8 s at d = 7 (one
-# run each, Python 3.11.7, shared 2-vCPU Intel Xeon); with every
-# monotonicity row active it took 0.5 s, 8.4 s and 704 s.  Above the cap,
-# only systems that sign forcing closes without an LP are answered.
+# b = 1, the LP takes 0.05 s at d = 5, 0.64-0.73 s at d = 6 and 5.9-6.7 s at
+# d = 7, nearly all of it in phase 2 (two runs each, Python 3.11.7, shared
+# 2-vCPU Intel Xeon); it took 0.06 s, 0.75-0.98 s and 9.0-9.4 s with the
+# pivot-ins in row order, and 0.5 s, 8.4 s and 704 s with every
+# monotonicity row active.  Above the cap, only systems that sign forcing
+# closes without an LP are answered.
 LP_DIMENSION_CAP = 7
 
 # --------------------------------------------------------------------------
@@ -115,7 +118,7 @@ class VarIndex:
         return (family, self.j or 0, tuple(sorted(self.subset)))
 
     def key(self) -> str:
-        body = ",".join(str(i) for i in sorted(self.subset))
+        body = ",".join(map(str, sorted(self.subset)))
         suffix = "" if self.j is None else f"^({self.j})"
         return "x{" + body + "}" + suffix
 
@@ -497,15 +500,18 @@ def check_tight_system(reflection: RatMatrix, b: Sequence[RationalLike]) -> Tigh
     fifths at d = 7, are lazy rows of the LP: they enter only when the
     optimum breaks them, and the optimum is that of the whole system.
     y = 0 is feasible, so the feasibility phase makes no pivot, but each
-    balance equality is still pivoted in before the solver optimises (80
-    of 141 pivots on p_not_m_rows(Random(17), 5) at b = 1).  From d = 5
-    on, an LP that runs grows about 10x per dimension, hence
-    ``LP_DIMENSION_CAP``.  The bounds, the monotonicity rows and the
-    objective depend only on d: the cached ``_frame`` builds them once,
-    and only once an LP is due.  A witness x = 1 - y is re-verified
-    exactly, on the frame's columns, by every row and range check of
-    ``verify_assignment`` (its anchors are 1 by construction), and keyed
-    by ``VarIndex`` only to be returned; no system is built.
+    balance equality is still pivoted in before the solver optimises.  On
+    p_not_m_rows(Random(17), d) at b = 1 that is 80 of 141 pivots at d = 5
+    and 448 of 875 at d = 7, yet only 0.005 of 0.05 s and 0.22 of 5.9-6.7 s:
+    run from the largest subsets down, they are cheap (3.3-3.5 s at d = 7
+    in row order), and phase 2 takes the rest.  From d = 5 on, an LP that
+    runs grows about 10x per dimension, hence ``LP_DIMENSION_CAP``.  The
+    bounds, the monotonicity rows and the objective depend only on d: the
+    cached ``_frame`` builds them once, and only once an LP is due.  A
+    witness x = 1 - y is re-verified exactly, on the frame's columns, by
+    every row and range check of ``verify_assignment`` (its anchors are 1
+    by construction), and keyed by ``VarIndex`` only to be returned; no
+    system is built.
     """
     scale = _check_inputs(reflection, b)
     d = reflection.rows
@@ -805,12 +811,15 @@ def assignment_from_table(table: Mapping[str, str], d: int) -> dict:
     """Parse a witness table, merging aliases of the same canonical variable.
 
     Keys carrying j inside their subset are canonicalized; if two aliases of
-    one variable disagree, the table is rejected.
+    one variable disagree, the table is rejected.  A canonical key, within
+    the dimension cap, is looked up among the dimension's names; any other
+    key is parsed by ``parse_variable_key``, which names what is wrong.
     """
+    names = {v.key(): v for v in canonical_variables(d)} if 0 <= d <= DEFAULT_DIMENSION_CAP else {}
     out: dict[VarIndex, Rational] = {}
     sources: dict[VarIndex, str] = {}
     for key, raw in table.items():
-        var = parse_variable_key(key, d)
+        var = names.get(key) or parse_variable_key(key, d)
         value = parse_rational(raw) if isinstance(raw, str) else as_rational(raw)
         if var in out and out[var] != value:
             raise RationalParseError(

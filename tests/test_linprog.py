@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reflecto.linprog as linprog
+import reflecto.tightness as tightness
 from _generators import all_active_box_program, random_m_matrix, random_p_not_m_matrix
 from reflecto import (
     Constraint,
@@ -259,14 +260,15 @@ def kernel_log(monkeypatch):
 
 
 def test_redundant_equality_row_stays_in_place(kernel_log, monkeypatch):
-    # Once the first row is pivoted in, the duplicate row is zero on every
-    # column and its rhs, so it stays, empty, with its placeholder basic.
+    # The equalities are pivoted in from the last row up: once row 1 is in,
+    # its duplicate row 0 is zero on every column and its rhs, so it stays,
+    # empty, with its placeholder basic.
     after = []
     pivot_in = linprog._Tableau.pivot_in_equalities
 
     def spy_pivot_in(self):
         consistent = pivot_in(self)
-        after.append((self.m, len(self.T), self.T[1], self.basis[1] < 0))
+        after.append((self.m, len(self.T), self.T[0], self.basis[0] < 0))
         return consistent
 
     monkeypatch.setattr(linprog._Tableau, "pivot_in_equalities", spy_pivot_in)
@@ -280,7 +282,7 @@ def test_redundant_equality_row_stays_in_place(kernel_log, monkeypatch):
     assert outcome.solution == (Fraction(2), Fraction(0))
     assert kernel_log["pivot_in"] == [(True, 1)]
     assert len(kernel_log["pivots"]) == 1
-    # Both rows and the cost row remain; row 1 is the empty redundant row.
+    # Both rows and the cost row remain; row 0 is the empty redundant row.
     assert after == [(2, 3, {}, True)]
 
 
@@ -757,7 +759,7 @@ def test_pivot_sequence_is_pinned(monkeypatch):
     # basis, must not change a single pivot choice.
     count, digest = _pivot_digest(monkeypatch, _tightness_programs())
     assert count == 845 + 16
-    assert digest == "7a3291174462384cb19d22612b112434673cf6aa1f4b353fa72cd9130684ac9d"
+    assert digest == "7e05ecb5fa63d725f002a2c937831533efdee8f7701e9819577b44fdf32bf0d0"
 
 
 def test_random_program_pivot_sequence_is_pinned(monkeypatch):
@@ -765,7 +767,192 @@ def test_random_program_pivot_sequence_is_pinned(monkeypatch):
     # at x = 0.
     count, digest = _pivot_digest(monkeypatch, _random_programs())
     assert count == 104 + 60
-    assert digest == "77763d9fcecbe00c3c5bd41c148d3028448b3a3cd8d2bc75f6a1791065190031"
+    assert digest == "601a83e9d90120e2ae480a081b32599de714c93b7d63c4e3ebda9ee1eccbdb32"
+
+
+def _box_programs():
+    """The box LPs of ``check_tight_system`` at d = 2..4, lazy
+    monotonicity rows included: one M-matrix and one P-not-M matrix per d,
+    each at b = 1 and at one sampled b."""
+    rng = random.Random(74)
+    for d in range(2, 5):
+        for gen in (random_m_matrix, random_p_not_m_matrix):
+            R = gen(rng, d)
+            sampled = tuple(Fraction(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(d))
+            for b in ((1,) * d, sampled):
+                yield tightness._box_program(*build_system(R, b)._products)
+
+
+def _tableau(program):
+    """The tableau ``lp_solve`` builds for ``program``, before any pivot."""
+    objective = {j: c for j, c in enumerate(program.objective) if c}
+    return linprog._Tableau(len(program.objective), program.constraints, objective)
+
+
+def _pivot_in_row_order(tab):
+    """The equality pivot-ins in row order, each on its least column with a
+    nonzero entry: the reference for ``pivot_in_equalities``."""
+    for r, var in enumerate(tab.basis):
+        if var >= 0:
+            continue
+        row = tab.T[r]
+        col = min((j for j in row if j != tab.rhs_col), default=None)
+        if col is None:
+            if row:
+                return False
+        else:
+            tab._pivot(r, col)
+    return True
+
+
+def _rational_tableau(tab):
+    """Every row with a basic column, as rationals and keyed by that column,
+    the cost row, and the number of rows left empty; not where rows sit."""
+    rows = {
+        var: {j: Fraction(v, tab.den[i]) for j, v in tab.T[i].items()}
+        for i, var in enumerate(tab.basis)
+        if var >= 0
+    }
+    cost = {j: Fraction(v, tab.den[tab.cost_row]) for j, v in tab.T[tab.cost_row].items()}
+    return rows, cost, sum(var < 0 for var in tab.basis), tab.unstored
+
+
+def test_reversed_pivot_ins_reach_the_row_order_tableau():
+    # Visiting the equalities from the last row up picks the same columns as
+    # row order, so the basis and the rational tableau over it are the same;
+    # only which row holds which column may differ.
+    seen = {"programs": 0, "moved": 0, "redundant": 0, "inconsistent": 0}
+    for program in chain(_tightness_programs(), _random_programs(), _box_programs()):
+        forward, reverse = _tableau(program), _tableau(program)
+        consistent = _pivot_in_row_order(forward)
+        assert reverse.pivot_in_equalities() is consistent
+        seen["programs"] += 1
+        if not consistent:
+            seen["inconsistent"] += 1
+            continue
+        assert reverse.pivots == forward.pivots
+        assert _rational_tableau(reverse) == _rational_tableau(forward)
+        seen["moved"] += reverse.basis != forward.basis
+        seen["redundant"] += any(var < 0 for var in forward.basis)
+    assert seen["programs"] == 16 + 60 + 12
+    assert seen["moved"] > 30 and seen["inconsistent"] > 3 and seen["redundant"] > 0, seen
+
+
+def test_reversed_pivot_ins_keep_every_later_pivot(monkeypatch):
+    # After the pivot-ins, every pivot is logged as (leaving basic column,
+    # entering column), which does not depend on where a row sits: the
+    # phases that follow must make the same choices from either order.
+    log = []
+    pivot = linprog._Tableau._pivot
+
+    def spy_pivot(self, r, c):
+        if self.basis[r] >= 0:
+            log.append((self.basis[r], c))
+        pivot(self, r, c)
+
+    monkeypatch.setattr(linprog._Tableau, "_pivot", spy_pivot)
+    programs = list(chain(_tightness_programs(), _random_programs(), _box_programs()))
+    solves = []
+    for pivot_in in (linprog._Tableau.pivot_in_equalities, _pivot_in_row_order):
+        monkeypatch.setattr(linprog._Tableau, "pivot_in_equalities", pivot_in)
+        for program in programs:
+            log.clear()
+            solves.append((lp_solve(program), list(log)))
+    reverse, forward = solves[: len(programs)], solves[len(programs) :]
+    assert reverse == forward
+    assert sum(len(pivots) for _, pivots in forward) > 400
+
+
+def _reference_positive_entries(tab, c):
+    """``(row, entry, rhs)`` for each row whose entry in column c is > 0,
+    every unstored row read through ``_unstored_entry``."""
+    out = []
+    for i in range(tab.m):
+        a = tab._entry(i, c)
+        if a <= 0:
+            continue
+        if i in tab.unstored:
+            terms, rhs = tab.unstored[i]
+            rhs = linprog._unstored_entry(terms, rhs, tab.rhs_col, tab.T, tab.den, tab.where)
+        else:
+            rhs = tab.T[i].get(tab.rhs_col, 0)
+        out.append((i, a, rhs))
+    return out
+
+
+def _reference_leaving(tab, c, reference):
+    entries = _reference_positive_entries(tab, c)
+    if not entries:
+        return None
+    low = min(Fraction(rhs, a) for _, a, rhs in entries)
+    tied = {i: a for i, a, rhs in entries if Fraction(rhs, a) == low}
+    return next(iter(tied)) if len(tied) == 1 else tab._lex_least(tied, reference)
+
+
+def _reference_dual_leaving(tab):
+    """The row of the most negative basic value, least index on ties, with
+    every unstored row read through ``_unstored_entry``."""
+    values = []
+    for i in range(tab.m):
+        if i in tab.unstored:
+            terms, rhs = tab.unstored[i]
+            num = linprog._unstored_entry(terms, rhs, tab.rhs_col, tab.T, tab.den, tab.where)
+            scale = 1
+            for j, _ in terms:
+                if j in tab.where:
+                    scale *= tab.den[tab.where[j]]
+        else:
+            num, scale = tab.T[i].get(tab.rhs_col, 0), tab.den[i]
+        values.append(Fraction(num, scale))
+    low = min(values, default=0)
+    return values.index(low) if low < 0 else None
+
+
+def _one_term_program(rng: random.Random):
+    """A random program whose rows mostly name one unknown, t x_k <relation>
+    rhs with t of either sign, beside up to three rows over every unknown;
+    about half the rows lazy."""
+    n = rng.randint(1, 4)
+    relations = list(Relation)
+    rows = []
+    for _ in range(rng.randint(0, 3)):
+        coeffs = [rng.randint(-3, 3) for _ in range(n)]
+        rows.append(constraint(coeffs, rng.choice(relations), rng.randint(-4, 4)))
+    for _ in range(rng.randint(1, 6)):
+        k, t = rng.randrange(n), rng.choice((-3, -2, -1, 1, 2, 3))
+        coeffs = [t if j == k else 0 for j in range(n)]
+        rows.append(constraint(coeffs, rng.choice(relations), rng.randint(-4, 6)))
+    rng.shuffle(rows)
+    return _split(linear_program([rng.randint(-3, 3) for _ in range(n)], rows), rng)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32))
+def test_one_term_rows_read_inline_match_unstored_entry(seed):
+    # The ratio tests read one-term unstored rows without _unstored_entry;
+    # at every ratio test of the solve, the rows, entries and rhs they read
+    # must be its exact integers, and the row picked must be the one a
+    # reference picks that reads every unstored row through it.
+    tableau = linprog._Tableau
+    leaving, dual_leaving = tableau._leaving, tableau._dual_leaving
+
+    def spy_leaving(self, c, reference):
+        entries = self._positive_entries(c)
+        assert sorted(entries) == sorted(_reference_positive_entries(self, c))
+        row = leaving(self, c, reference)
+        assert row == _reference_leaving(self, c, reference)
+        return row
+
+    def spy_dual_leaving(self):
+        row = dual_leaving(self)
+        assert row == _reference_dual_leaving(self)
+        return row
+
+    tableau._leaving, tableau._dual_leaving = spy_leaving, spy_dual_leaving
+    try:
+        lp_solve(_one_term_program(random.Random(seed)))
+    finally:
+        tableau._leaving, tableau._dual_leaving = leaving, dual_leaving
 
 
 class _FullTableau(linprog._Tableau):

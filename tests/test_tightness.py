@@ -47,6 +47,7 @@ from _generators import (
     all_active_box_program,
     random_m_matrix,
     random_matrix,
+    random_p_not_m_matrix,
     reference_box_rows,
     unforced_count_reference,
 )
@@ -137,6 +138,26 @@ def test_conflicting_aliases_are_rejected():
     table = {"x{1,2}^(1)": "1/2", "x{2}^(1)": "1"}
     with pytest.raises(RationalParseError):
         assignment_from_table(table, 2)
+
+
+def test_table_keys_resolve_as_parse_variable_key_resolves_them():
+    # Canonical keys are looked up among the dimension's names and the rest
+    # parsed: an alias or a padded key merges into its variable, a bad key
+    # is refused with parse_variable_key's message, a conflict names the
+    # last key that set the variable, and above the cap every key is parsed.
+    x1, x2_1 = VarIndex.plain((1,)), VarIndex.boundary(1, (2,))
+    table = {" x{1} ": "1/2", "x{2}^(1)": "1/3", "x{1,2}^(1)": "1/3"}
+    assert assignment_from_table(table, 2) == {x1: Fraction(1, 2), x2_1: Fraction(1, 3)}
+    for bad in ("x{3}", "x{1,1}", "y{1}"):
+        with pytest.raises(RationalParseError) as expected:
+            parse_variable_key(bad, 2)
+        with pytest.raises(RationalParseError, match=re.escape(str(expected.value))):
+            assignment_from_table({bad: "1"}, 2)
+    table = {"x{2}^(1)": "1", "x{1,2}^(1)": "1", " x{2}^(1)": "1/2"}
+    message = "conflicting values for x{2}^(1): keys 'x{1,2}^(1)' and ' x{2}^(1)' disagree"
+    with pytest.raises(RationalParseError, match=re.escape(message)):
+        assignment_from_table(table, 2)
+    assert assignment_from_table({"x{13}": "1"}, 13) == {VarIndex.plain((13,)): Fraction(1)}
 
 
 def test_assignment_table_round_trip():
@@ -671,6 +692,36 @@ def test_box_programs_of_one_dimension_share_the_cached_frame():
         tightness.Constraint(((k, Fraction(1)),), Relation.LE, Fraction(1)) for k in range(43)
     )
     assert balance != second.constraints[:32]
+
+
+def test_two_lps_leave_the_frame_rows_as_they_were(monkeypatch):
+    # The tableau rewrites its stored rows in place.  The box and lazy rows
+    # of _frame(d), shared by every LP of that dimension, and the integer
+    # rows cached on them must come out of two LPs as a fresh frame builds
+    # them, and the second LP must equal its solve on that fresh frame.
+    rng = random.Random(11)
+    cases = [(random_p_not_m_matrix(rng, 4), b) for b in ((1, 1, 1, 1), (2, 1, 3, 1))]
+    assert all(_unforced_count(R, b) for R, b in cases)
+    outcomes = []
+    solve = tightness.lp_solve
+
+    def spy_solve(program):
+        outcomes.append(solve(program))
+        return outcomes[-1]
+
+    monkeypatch.setattr(tightness, "lp_solve", spy_solve)
+
+    def fixed_rows(frame):
+        return [(row.terms, row.relation, row.rhs, row._int_row) for row in frame.box + frame.lazy]
+
+    frame = tightness._frame(4)
+    verdict = [check_tight_system(R, b) for R, b in cases][1]
+    assert len(outcomes) == 2 and tightness._frame(4) is frame
+    tightness._frame.cache_clear()
+    assert check_tight_system(*cases[1]) == verdict
+    assert tightness._frame(4) is not frame
+    assert fixed_rows(tightness._frame(4)) == fixed_rows(frame)
+    assert outcomes[2] == outcomes[1]
 
 
 def test_sign_forced_systems_have_lp_optimum_at_the_variable_count():
